@@ -1,9 +1,9 @@
-// E4 — tick-coalesced update batching: the paper's surround view runs at
-// 16 fps with three graphical computers and pushes 3+ attribute sets per
-// frame (crane state, platform pose, sync messages). Without coalescing,
-// every update costs one datagram per virtual channel; with the CB's
-// per-peer send coalescer, a frame's worth of traffic to one peer rides a
-// single kBatch container.
+// Tick-coalesced update batching, an extension of E3 (CB routing): the
+// paper's surround view runs at 16 fps with three graphical computers and
+// pushes 3+ attribute sets per frame (crane state, platform pose, sync
+// messages). Without coalescing, every update costs one datagram per
+// virtual channel; with the CB's per-peer send coalescer, a frame's worth
+// of traffic to one peer rides a single kBatch container.
 //
 // BM_FrameFlush measures a simulated frame (3 publications updated, then
 // the tick flush) at fan-out 4 and 16, batched vs unbatched. The headline

@@ -6,6 +6,8 @@
 
 #include <deque>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "core/protocol.hpp"
@@ -198,6 +200,52 @@ void BM_FanOutSendOnly(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 
+/// Timer phase at rest: tick() on a CB holding state.range(0) established
+/// reliable in-channels and as many reliable out-channels, with nothing
+/// due (no traffic in flight, every keep-alive fresh, discovery done).
+/// The walk skips entries whose deadline has not come, so this should
+/// stay near-flat in the channel count.
+void BM_TickQuietReliableChannels(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  core::CodCluster::Config ccfg;
+  ccfg.cb.refreshIntervalSec = 0.0;  // no re-discovery once connected
+  core::CodCluster cluster(ccfg);
+  auto& cbA = cluster.addComputer("a");
+  auto& cbB = cluster.addComputer("b");
+  NullLp lpA, lpB;
+  cbA.attach(lpA);
+  cbB.attach(lpB);
+  std::vector<core::SubscriptionHandle> subsA, subsB;
+  constexpr auto kReliable = net::QosClass::kReliableOrdered;
+  for (int i = 0; i < n; ++i) {
+    const std::string out = "bench.a." + std::to_string(i);
+    const std::string in = "bench.b." + std::to_string(i);
+    cbA.publishObjectClass(lpA, out, kReliable);
+    cbB.publishObjectClass(lpB, in, kReliable);
+    subsB.push_back(cbB.subscribeObjectClass(lpB, out, kReliable));
+    subsA.push_back(cbA.subscribeObjectClass(lpA, in, kReliable));
+  }
+  const bool wired = cluster.runUntil(
+      [&] {
+        for (int i = 0; i < n; ++i)
+          if (!cbA.connected(subsA[i]) || !cbB.connected(subsB[i]))
+            return false;
+        return true;
+      },
+      30.0);
+  if (!wired) {
+    state.SkipWithError("channels did not connect");
+    return;
+  }
+  cluster.step(1.0);  // acks settle
+  // Off the cluster's tick grid: a deadline a rounding error past the
+  // last cluster tick fires in this first tick, not in the timed ones.
+  const double now = cluster.now() + 1e-4;
+  cbA.tick(now);
+  for (auto _ : state) cbA.tick(now);
+  state.counters["channels"] = n;
+}
+
 void BM_EncodeUpdateMsg(benchmark::State& state) {
   const core::AttributeSet attrs = sampleAttrs();
   core::UpdateMsg msg;
@@ -238,5 +286,6 @@ BENCHMARK(BM_LocalFastPathUpdateWideTables)
 BENCHMARK(BM_CrossHostUpdate);
 BENCHMARK(BM_FanOutUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(7);
 BENCHMARK(BM_FanOutSendOnly)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_TickQuietReliableChannels)->Arg(16)->Arg(128)->Arg(1024);
 BENCHMARK(BM_EncodeUpdateMsg);
 BENCHMARK(BM_DecodeUpdateMsg);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 
 #include "net/engine.hpp"
@@ -10,9 +11,9 @@ namespace cod::core {
 
 namespace {
 
-/// Sorted snapshot of an index's keys — the facade's ordering primitive:
-/// handles and channel ids ascend in creation order, so a sorted key walk
-/// reproduces the pre-shard wire order whatever the shard count.
+/// Sorted snapshot of an index's keys: handles and channel ids ascend in
+/// creation order, so a sorted key walk reproduces the pre-shard order
+/// whatever the shard count.
 template <typename Map>
 std::vector<typename Map::key_type> sortedKeys(const Map& m) {
   std::vector<typename Map::key_type> keys;
@@ -362,10 +363,12 @@ const SubscriptionEntry* CommunicationBackbone::findSubscription(
 void CommunicationBackbone::registerInChannel(std::uint32_t channelId,
                                               std::uint32_t shard) {
   inChannelShard_[channelId] = shard;
+  ++inWalk_.generation;
 }
 
 void CommunicationBackbone::unregisterInChannel(std::uint32_t channelId) {
   inChannelShard_.erase(channelId);
+  ++inWalk_.generation;
 }
 
 void CommunicationBackbone::registerOutChannel(const net::NodeAddr& remote,
@@ -400,6 +403,7 @@ PublicationHandle CommunicationBackbone::publishObjectClass(
   const PublicationHandle h = e.id;
   const std::uint32_t s = shardOf(className);
   pubShard_.emplace(h, s);
+  ++pubWalk_.generation;
   shards_[s]->addPublication(std::move(e));
   return h;
 }
@@ -416,6 +420,7 @@ SubscriptionHandle CommunicationBackbone::subscribeObjectClass(
   const SubscriptionHandle h = e.id;
   const std::uint32_t s = shardOf(className);
   subShard_.emplace(h, s);
+  ++subWalk_.generation;
   shards_[s]->addSubscription(std::move(e));
   return h;
 }
@@ -425,6 +430,7 @@ void CommunicationBackbone::unpublish(PublicationHandle h) {
   if (it == pubShard_.end()) return;
   shards_[it->second]->unpublish(h);
   pubShard_.erase(it);
+  ++pubWalk_.generation;
 }
 
 void CommunicationBackbone::unsubscribe(SubscriptionHandle h) {
@@ -432,6 +438,7 @@ void CommunicationBackbone::unsubscribe(SubscriptionHandle h) {
   if (it == subShard_.end()) return;
   shards_[it->second]->unsubscribe(h);
   subShard_.erase(it);
+  ++subWalk_.generation;
 }
 
 bool CommunicationBackbone::updateAttributeValues(PublicationHandle h,
@@ -746,51 +753,90 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
         std::chrono::duration<double>(Clock::now() - routeStart).count();
 }
 
+template <typename Entry, typename Index>
+void CommunicationBackbone::refreshWalk(
+    Walk<Entry>& walk, const Index& index,
+    Entry* (CbShard::*find)(std::uint32_t)) {
+  if (!walk.stale()) return;
+  walk.items.clear();
+  walk.items.reserve(index.size());
+  for (const auto& [key, s] : index) {
+    CbShard& shard = *shards_[s];
+    walk.items.push_back({key, &shard, (shard.*find)(key)});
+  }
+  std::sort(walk.items.begin(), walk.items.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
+  walk.builtAt = walk.generation;
+}
+
 void CommunicationBackbone::runTimers(double now) {
-  // Every phase walks a globally sorted handle snapshot and dispatches
-  // per entry into the owning shard: creation order on the wire, exactly
-  // as the pre-shard CB emitted it, whatever Config::shards says.
+  // Every phase walks its entries in creation order and dispatches each
+  // into the owning shard: creation order on the wire, exactly as the
+  // pre-shard CB emitted it, whatever Config::shards says. An entry runs
+  // only once its deadline has come; the deadlines are conservative, so
+  // a skipped entry had nothing to send, and the wire matches a walk
+  // that ran every entry on every tick. Nothing here (un)registers an
+  // entry until the in-channel drops, so the cached pointers hold.
+  if (now < timersDue_ && !subWalk_.stale() && !inWalk_.stale() &&
+      !pubWalk_.stale())
+    return;
+  refreshWalk(subWalk_, subShard_, &CbShard::subscription);
+  refreshWalk(inWalk_, inChannelShard_, &CbShard::inChannel);
+  refreshWalk(pubWalk_, pubShard_, &CbShard::publication);
+  // Every deadline, as each entry's turn leaves it, folds into the bound
+  // (and so does any wake the phase itself causes).
+  timersDue_ = std::numeric_limits<double>::infinity();
 
   // Subscription discovery broadcasts (§2.3).
-  for (const SubscriptionHandle h : sortedKeys(subShard_))
-    shards_[subShard_.find(h)->second]->subscriptionTimer(h, now);
+  for (const auto& [h, shard, sub] : subWalk_.items) {
+    if (now >= sub->nextBroadcast) shard->subscriptionTimer(*sub, now);
+    timersDue_ = std::min(timersDue_, sub->nextBroadcast);
+  }
 
   // Retransmit CHANNEL_CONNECTION for channels still awaiting their ack,
   // and time out dead inbound channels. Keep-alive frames in one pass
   // differ only in channel id, so the tick encodes at most one frame
   // (shared across shards) and re-targets it per channel.
   std::vector<std::uint8_t> subHeartbeat;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> toDrop;  // cid, shard
-  for (const std::uint32_t cid : sortedKeys(inChannelShard_)) {
-    const std::uint32_t s = inChannelShard_.find(cid)->second;
-    if (shards_[s]->inChannelTimer(cid, now, subHeartbeat))
-      toDrop.emplace_back(cid, s);
+  std::vector<std::pair<std::uint32_t, CbShard*>> toDrop;
+  for (const auto& [cid, shard, ch] : inWalk_.items) {
+    if (now >= ch->timerDue && shard->inChannelTimer(*ch, now, subHeartbeat))
+      toDrop.emplace_back(cid, shard);
+    timersDue_ = std::min(timersDue_, ch->timerDue);
   }
-  for (const auto& [cid, s] : toDrop)
-    shards_[s]->dropTimedOutInChannel(cid, now);
+  for (const auto& [cid, shard] : toDrop) shard->dropTimedOutInChannel(cid, now);
 
   // Publisher keep-alives on idle channels, the reliable tail-retransmit
   // sweep, and timeout of dead subscribers.
   std::vector<std::uint8_t> pubHeartbeat;
-  for (const PublicationHandle h : sortedKeys(pubShard_))
-    shards_[pubShard_.find(h)->second]->publicationTimer(h, now, pubHeartbeat);
+  for (const auto& [h, shard, pub] : pubWalk_.items) {
+    if (now >= pub->timerDue) shard->publicationTimer(*pub, now, pubHeartbeat);
+    timersDue_ = std::min(timersDue_, pub->timerDue);
+  }
 }
 
 void CommunicationBackbone::deliverMailboxes() {
   // Subscription-id order == creation order: push delivery across LPs
-  // must not depend on hash-table layout (or shard layout).
-  for (const SubscriptionHandle h : sortedKeys(subShard_)) {
-    // Re-find each time: reflect callbacks may (un)subscribe re-entrantly.
-    SubscriptionEntry* sub = findSubscription(h);
-    if (sub == nullptr) continue;
-    while (!sub->mailbox.empty()) {
+  // must not depend on hash-table layout (or shard layout). A reflect
+  // callback may (un)subscribe re-entrantly; once that has happened,
+  // entries are re-found by handle, since a cached pointer may dangle.
+  // Subscriptions made by a callback wait for the next tick.
+  if (!mailboxesPending_) return;
+  mailboxesPending_ = false;
+  refreshWalk(subWalk_, subShard_, &CbShard::subscription);
+  const std::uint64_t generation = subWalk_.generation;
+  for (std::size_t i = 0; i < subWalk_.items.size(); ++i) {
+    const SubscriptionHandle h = subWalk_.items[i].key;
+    SubscriptionEntry* sub = subWalk_.generation == generation
+                                 ? subWalk_.items[i].entry
+                                 : findSubscription(h);
+    while (sub != nullptr && !sub->mailbox.empty()) {
       Reflection r = std::move(sub->mailbox.front());
       sub->mailbox.pop_front();
       const auto lpIt = lps_.find(sub->lp);
       if (lpIt != lps_.end())
         lpIt->second->reflectAttributeValues(r.className, r.attrs, r.timestamp);
-      sub = findSubscription(h);
-      if (sub == nullptr) break;
+      if (subWalk_.generation != generation) sub = findSubscription(h);
     }
   }
 }

@@ -29,9 +29,9 @@
 // classNameHash(className) % Config::shards (src/core/shard.hpp): table
 // lookups and discovery matching touch only the shard that owns a class,
 // while this facade keeps the public API, the transport, the coalescer,
-// id allocation, the stats block and — via globally sorted handle
-// snapshots — wire ordering, so every shard count is wire-byte-identical
-// to shards=1.
+// id allocation, the stats block and — via walks in global creation
+// order — wire ordering, so every shard count is wire-byte-identical to
+// shards=1.
 #pragma once
 
 #include <cstdint>
@@ -411,6 +411,29 @@ class CommunicationBackbone {
   void runTimers(double now);
   void deliverMailboxes();
 
+  /// A cached walk over one kind of entry in creation order (ascending
+  /// handle or channel id, whatever shard holds the entry). The timer and
+  /// mailbox phases walk these instead of sorting the indexes every tick.
+  /// Every change to the matching index bumps `generation`; the walk is
+  /// rebuilt on its next use, and a walk in progress that sees the bump
+  /// stops trusting its entry pointers.
+  template <typename Entry>
+  struct Walk {
+    struct Item {
+      std::uint32_t key;
+      CbShard* shard;
+      Entry* entry;
+    };
+    std::vector<Item> items;
+    std::uint64_t generation = 1;
+    std::uint64_t builtAt = 0;  // generation `items` reflects
+    bool stale() const { return builtAt != generation; }
+  };
+  /// Rebuild `walk` from `index` (key → shard) if it is stale.
+  template <typename Entry, typename Index>
+  void refreshWalk(Walk<Entry>& walk, const Index& index,
+                   Entry* (CbShard::*find)(std::uint32_t));
+
   CbShard& shardForHash(std::uint32_t classHash) {
     return *shards_[classHash % static_cast<std::uint32_t>(shards_.size())];
   }
@@ -528,12 +551,22 @@ class CommunicationBackbone {
 
   /// The routing shards (fixed at construction, >= 1) and the global
   /// handle→shard / channel→shard indexes the dispatcher routes through.
-  /// Index keys double as the sorted-snapshot source for every
-  /// wire-order-sensitive walk, so ordering never depends on shard count.
+  /// Index keys are also what every wire-order-sensitive walk is built
+  /// from, sorted, so ordering never depends on shard count.
   std::vector<std::unique_ptr<CbShard>> shards_;
   std::unordered_map<PublicationHandle, std::uint32_t> pubShard_;
   std::unordered_map<SubscriptionHandle, std::uint32_t> subShard_;
   std::unordered_map<std::uint32_t, std::uint32_t> inChannelShard_;
+  Walk<PublicationEntry> pubWalk_;
+  Walk<SubscriptionEntry> subWalk_;
+  Walk<InChannel> inWalk_;
+  /// Lower bound on every deadline in the walks (each timerDue and
+  /// nextBroadcast): a tick before it, with no walk stale, skips the
+  /// timer phase outright. runTimers recomputes it; CbShard::wake lowers
+  /// it whenever a deadline comes forward.
+  double timersDue_ = kTimerDueNow;
+  /// Set on every enqueue: some mailbox may hold a reflection.
+  bool mailboxesPending_ = false;
   /// (subscriber endpoint, subscriber-allocated channel id) → owning
   /// shard + publication: the publisher-side route for heartbeats, BYEs,
   /// NACKs and window acks, replacing the old all-tables scan.

@@ -2,8 +2,8 @@
 // protocol behaviour here is the pre-shard CB's, verbatim — only the
 // table scope changed (one class family per shard) and full-table scans
 // became class-index or facade-index lookups. Anything order-sensitive
-// on the wire is driven by the facade in globally sorted handle order;
-// a shard never iterates its own hash tables to send.
+// on the wire is driven by the facade in global creation order; a shard
+// never iterates its own hash tables to send.
 #include "core/shard.hpp"
 
 #include <algorithm>
@@ -130,6 +130,11 @@ const SubscriptionEntry* CbShard::subscription(SubscriptionHandle h) const {
   return it == subscriptions_.end() ? nullptr : &it->second;
 }
 
+InChannel* CbShard::inChannel(std::uint32_t channelId) {
+  const auto it = inChannels_.find(channelId);
+  return it == inChannels_.end() ? nullptr : &it->second;
+}
+
 const InChannel* CbShard::inChannel(std::uint32_t channelId) const {
   const auto it = inChannels_.find(channelId);
   return it == inChannels_.end() ? nullptr : &it->second;
@@ -161,6 +166,11 @@ CbShardLoad CbShard::load() const {
   return l;
 }
 
+void CbShard::wake(double& due, double now) {
+  due = now;
+  cb_.timersDue_ = std::min(cb_.timersDue_, now);
+}
+
 void CbShard::enqueueReflection(SubscriptionEntry& sub, Reflection r) {
   sub.latest = r;
   if (sub.mailbox.size() >= cb_.cfg_.mailboxLimit) {
@@ -168,6 +178,7 @@ void CbShard::enqueueReflection(SubscriptionEntry& sub, Reflection r) {
     ++cb_.stats_.mailboxOverflows;
   }
   sub.mailbox.push_back(std::move(r));
+  cb_.mailboxesPending_ = true;
   ++cb_.stats_.updatesDelivered;
 }
 
@@ -229,6 +240,7 @@ void CbShard::handleChannelConnection(const ChannelConnectionMsg& m,
   if (it == publications_.end()) return;
   PublicationEntry& pub = it->second;
   if (pub.className != m.className) return;
+  wake(pub.timerDue, now);
   auto existing = std::find_if(
       pub.channels.begin(), pub.channels.end(), [&](const OutChannel& ch) {
         return ch.remote == src && ch.remoteChannelId == m.channelId;
@@ -275,6 +287,7 @@ void CbShard::handleChannelAck(const ChannelAckMsg& m,
   const auto it = inChannels_.find(m.channelId);
   if (it == inChannels_.end()) return;
   InChannel& ch = it->second;
+  wake(ch.timerDue, now);
   if (!ch.live) {
     ch.live = true;
     ++cb_.stats_.channelsEstablishedIn;
@@ -305,15 +318,18 @@ void CbShard::handleUpdate(UpdateMsg& m, const net::NodeAddr& /*src*/,
   }
   InChannel& ch = it->second;
   if (!ch.live) {
-    // The CHANNEL_ACK was lost but data is flowing: the channel is live.
+    // The CHANNEL_ACK was lost but data is flowing: the channel is live,
+    // and its keep-alives start.
     ch.live = true;
     ++cb_.stats_.channelsEstablishedIn;
+    wake(ch.timerDue, now);
   }
-  ch.lastActivity = now;
+  ch.lastActivity = now;  // only moves the timeout later
   if (ch.rq) {
     // Reliable path: the queue owns ordering, duplicates and gap healing.
     // Retransmits legitimately arrive with old sequence numbers, so the
-    // newest-wins cursor does not apply.
+    // newest-wins cursor does not apply. A fed queue is polled at once.
+    wake(ch.timerDue, now);
     std::vector<net::ReliableFrame> ready;
     ch.rq->offer(net::ReliableFrame{m.seq, m.timestamp, std::move(m.payload),
                                     m.traced, m.pubWallSec, now},
@@ -348,9 +364,11 @@ void CbShard::handlePublisherHeartbeat(const HeartbeatMsg& m,
 void CbShard::handleSubscriberHeartbeat(PublicationHandle pub,
                                         const HeartbeatMsg& m,
                                         const net::NodeAddr& src, double now) {
-  // Publisher side: a subscriber keep-alive refreshes the outgoing channel.
+  // Publisher side: a subscriber keep-alive refreshes the outgoing channel
+  // (and may end its stall, resuming its tail retransmits).
   const auto it = publications_.find(pub);
   if (it == publications_.end()) return;
+  wake(it->second.timerDue, now);
   for (OutChannel& ch : it->second.channels) {
     if (ch.remote == src && ch.remoteChannelId == m.channelId)
       ch.lastHeardSec = now;
@@ -369,6 +387,7 @@ void CbShard::handleSubscriberBye(PublicationHandle pub, const ByeMsg& m,
   // A subscriber resigned: drop the matching outgoing channel.
   const auto it = publications_.find(pub);
   if (it == publications_.end()) return;
+  wake(it->second.timerDue, cb_.now_);
   auto& chans = it->second.channels;
   const std::size_t before = chans.size();
   chans.erase(std::remove_if(chans.begin(), chans.end(),
@@ -444,9 +463,10 @@ void CbShard::mergeChannelWindow(OutChannel& ch) {
   ++cb_.stats_.reliable.windowMerges;
 }
 
-void CbShard::runWindowSplitTimer(PublicationEntry& pub, double now) {
+bool CbShard::runWindowSplitTimer(PublicationEntry& pub, double now) {
   const net::ReliableConfig& rc = cb_.cfg_.reliable;
-  if (!rc.perChannelWindowSplit || !pub.retx) return;
+  if (!rc.perChannelWindowSplit || !pub.retx) return false;
+  bool reshaped = false;
   for (OutChannel& ch : pub.channels) {
     if (ch.qos != net::QosClass::kReliableOrdered || !ch.qosConfirmed)
       continue;
@@ -460,6 +480,7 @@ void CbShard::runWindowSplitTimer(PublicationEntry& pub, double now) {
         ch.lagSinceSec = now;
       } else if (now - ch.lagSinceSec >= rc.splitSustainSec) {
         splitChannelWindow(pub, ch, now);
+        reshaped = true;
       }
       continue;
     }
@@ -479,8 +500,10 @@ void CbShard::runWindowSplitTimer(PublicationEntry& pub, double now) {
       ch.caughtUpSinceSec = now;
     } else if (now - ch.caughtUpSinceSec >= rc.mergeSustainSec) {
       mergeChannelWindow(ch);
+      reshaped = true;
     }
   }
+  return reshaped;
 }
 
 void CbShard::advertiseDegradeSkips(PublicationEntry& pub) {
@@ -566,6 +589,7 @@ void CbShard::handleNack(PublicationHandle pub, const NackMsg& m,
   OutChannel* ch = findOutChannelIn(p, src, m.channelId);
   if (ch == nullptr || ch->qos != net::QosClass::kReliableOrdered || !p.retx)
     return;
+  wake(p.timerDue, now);
   ++cb_.stats_.reliable.nacksReceived;
   if (cb_.tracing())
     cb_.traceEvent(telemetry::TraceEventKind::kNackReceived, now, 0.0,
@@ -620,6 +644,7 @@ void CbShard::handlePublisherWindowAck(const WindowAckMsg& m,
   if (it == inChannels_.end() || it->second.remote != src || !it->second.rq)
     return;
   InChannel& ch = it->second;
+  wake(ch.timerDue, now);
   ch.lastActivity = now;
   std::vector<net::ReliableFrame> ready;
   ch.rq->abandonThrough(m.cumulativeSeq, ready);
@@ -635,6 +660,7 @@ void CbShard::handleSubscriberWindowAck(PublicationHandle pub,
   PublicationEntry& p = it->second;
   OutChannel* ch = findOutChannelIn(p, src, m.channelId);
   if (ch == nullptr || ch->qos != net::QosClass::kReliableOrdered) return;
+  wake(p.timerDue, now);
   ++cb_.stats_.reliable.windowAcksReceived;
   if (m.echoed) {
     // The subscriber echoed our trace tag: round trip minus its measured
@@ -756,6 +782,7 @@ bool CbShard::update(PublicationEntry& pub, const AttributeSet& attrs,
   locals.resize(kept);
 
   if (network) {
+    wake(pub.timerDue, cb_.now_);  // a new frame enters the windows
     if (sampled && cb_.tracing())
       cb_.traceEvent(telemetry::TraceEventKind::kUpdatePublished, cb_.now_,
                      0.0, seq);
@@ -830,10 +857,8 @@ void CbShard::setPeerSendFactor(const net::NodeAddr& peer, double factor) {
   }
 }
 
-void CbShard::subscriptionTimer(SubscriptionHandle h, double now) {
-  SubscriptionEntry& sub = subscriptions_.find(h)->second;
-  if (now < sub.nextBroadcast) return;
-  const bool hasLive = sourceCount(h) > 0;
+void CbShard::subscriptionTimer(SubscriptionEntry& sub, double now) {
+  const bool hasLive = sourceCount(sub.id) > 0;
   if (hasLive && cb_.cfg_.refreshIntervalSec <= 0.0) {
     sub.nextBroadcast = 1e300;  // paper-literal: stop once acknowledged
     return;
@@ -852,11 +877,8 @@ void CbShard::subscriptionTimer(SubscriptionHandle h, double now) {
                                      : cb_.cfg_.broadcastIntervalSec);
 }
 
-bool CbShard::inChannelTimer(std::uint32_t channelId, double now,
+bool CbShard::inChannelTimer(InChannel& ch, double now,
                              std::vector<std::uint8_t>& subHeartbeat) {
-  const auto cit = inChannels_.find(channelId);
-  if (cit == inChannels_.end()) return false;
-  InChannel& ch = cit->second;
   // A reliable channel needs the CHANNEL_ACK itself (it carries the base
   // sequence), so inbound data marking the channel live is not enough to
   // stop the connection retries.
@@ -912,6 +934,17 @@ bool CbShard::inChannelTimer(std::uint32_t channelId, double now,
       }
     }
   }
+  // The next tick any check above can act on: the earliest of their own
+  // deadlines, from the state this run left behind.
+  const CommunicationBackbone::Config& cfg = cb_.cfg_;
+  double due = net::dueAfter(ch.lastActivity, cfg.channelTimeoutSec);
+  if (needsAck)
+    due = std::min(due, net::dueAfter(ch.lastConnectSent, cfg.connectRetrySec));
+  if (ch.live)
+    due = std::min(
+        due, net::dueAfter(ch.lastHeartbeatSent, cfg.heartbeatIntervalSec));
+  if (ch.rq) due = std::min(due, ch.rq->nextTimerDue());
+  ch.timerDue = due;
   return now - ch.lastActivity > cb_.cfg_.channelTimeoutSec;
 }
 
@@ -923,12 +956,11 @@ void CbShard::dropTimedOutInChannel(std::uint32_t channelId, double now) {
   ++cb_.stats_.channelsTimedOut;
   // Resume fast discovery for the orphaned subscription.
   const auto sit = subscriptions_.find(sh);
-  if (sit != subscriptions_.end()) sit->second.nextBroadcast = now;
+  if (sit != subscriptions_.end()) wake(sit->second.nextBroadcast, now);
 }
 
-void CbShard::publicationTimer(PublicationHandle h, double now,
+void CbShard::publicationTimer(PublicationEntry& pub, double now,
                                std::vector<std::uint8_t>& pubHeartbeat) {
-  PublicationEntry& pub = publications_.find(h)->second;
   auto& chans = pub.channels;
   for (OutChannel& ch : chans) {
     if (ch.qos == net::QosClass::kReliableOrdered && !ch.windowAckSeen &&
@@ -950,7 +982,7 @@ void CbShard::publicationTimer(PublicationHandle h, double now,
   }
   // Split/merge decisions before the sweeps, so a channel split this
   // tick is already excluded from the shared sweep below.
-  runWindowSplitTimer(pub, now);
+  const bool reshaped = runWindowSplitTimer(pub, now);
   const double stalledAfterSec = 2.0 * cb_.cfg_.heartbeatIntervalSec;
   const auto stalled = [&](const OutChannel& ch) {
     return now - ch.lastHeardSec > stalledAfterSec;
@@ -1050,6 +1082,43 @@ void CbShard::publicationTimer(PublicationHandle h, double now,
     cb_.stats_.channelsTimedOut += before - chans.size();
     compactSendWindow(pub);
   }
+
+  // The next tick any check above can act on, from the state this run
+  // left behind. A stalled channel stays stalled until the subscriber is
+  // heard from, and every handler that hears from it wakes the timer.
+  const CommunicationBackbone::Config& cfg = cb_.cfg_;
+  const net::ReliableConfig& rc = cfg.reliable;
+  double due = std::numeric_limits<double>::infinity();
+  std::uint64_t minUnacked = std::numeric_limits<std::uint64_t>::max();
+  for (const OutChannel& ch : chans) {
+    due = std::min({due, net::dueAfter(ch.lastHeardSec, cfg.channelTimeoutSec),
+                    net::dueAfter(ch.lastSentSec, cfg.heartbeatIntervalSec)});
+    if (ch.qos == net::QosClass::kReliableOrdered && !ch.windowAckSeen)
+      due = std::min(due,
+                     net::dueAfter(ch.lastAckResendSec, cfg.connectRetrySec));
+    if (ch.lagSinceSec >= 0.0)
+      due = std::min(due, net::dueAfter(ch.lagSinceSec, rc.splitSustainSec));
+    if (ch.caughtUpSinceSec >= 0.0)
+      due = std::min(due,
+                     net::dueAfter(ch.caughtUpSinceSec, rc.mergeSustainSec));
+    if (stalled(ch)) continue;
+    if (ch.splitRetx) {
+      due = std::min(
+          due, net::dueAfter(ch.splitRetx->earliestUnackedSentSec(
+                                 ch.cumAcked + 1),
+                             rc.retxTimeoutSec));
+    } else if (ch.qos == net::QosClass::kReliableOrdered && ch.qosConfirmed) {
+      minUnacked = std::min(minUnacked, ch.cumAcked + 1);
+    }
+  }
+  if (pub.retx)
+    due = std::min(due,
+                   net::dueAfter(pub.retx->earliestUnackedSentSec(minUnacked),
+                                 rc.retxTimeoutSec));
+  // The split decisions sample lag as an edge: a window this run reshaped
+  // (split, merge, or compacted after a timeout) is re-sampled next tick.
+  if (reshaped || chans.size() != before) due = now;
+  pub.timerDue = due;
 }
 
 }  // namespace cod::core

@@ -16,13 +16,19 @@
 // globally unique and creation-ordered), the shared stats block, and —
 // critically — *ordering*. Every wire-order-sensitive walk (discovery
 // broadcasts, heartbeats, ACK emission, mailbox delivery, channelHealth)
-// is orchestrated by the facade over a globally sorted snapshot of
-// handles/channel ids and dispatched per entry into the owning shard, so
-// any shard count produces byte-identical wire traffic to shards=1.
+// is orchestrated by the facade in global creation order (handle or
+// channel-id order, whatever shard holds the entry) and dispatched per
+// entry into the owning shard, so any shard count produces
+// byte-identical wire traffic to shards=1. The timer and mailbox walks
+// use a cached creation-ordered list that is rebuilt only when a
+// registration or channel index changes, and skip entries whose
+// deadline (`timerDue`, `nextBroadcast`) or empty mailbox shows nothing
+// to do.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -48,6 +54,9 @@ inline constexpr std::uint32_t kInvalidHandle = 0;
 /// Sentinel for "staging slot not resolved yet" in the channel structs
 /// (the slot index caches into the facade's per-peer batch table).
 inline constexpr std::uint32_t kNoBatchSlot = 0xFFFFFFFFu;
+
+/// Initial `timerDue` of a new entry: its timer runs on the next tick.
+inline constexpr double kTimerDueNow = -std::numeric_limits<double>::infinity();
 
 /// One delivered attribute update, as seen by a subscriber.
 struct Reflection {
@@ -150,6 +159,14 @@ struct PublicationEntry {
   /// peer: they are how its struggle is observed and how its recovery is
   /// detected, so thinning them would sever the very loop that thins.
   bool thinExempt = false;
+  /// Conservative deadline of publicationTimer: never later than the first
+  /// tick on which it can act (ACK re-send, keep-alive, window split or
+  /// merge, tail retransmit, dead-subscriber timeout). The timer
+  /// recomputes it from the fields its checks read; every handler that
+  /// changes those fields wakes it to its own clock (CbShard::wake), so
+  /// the facade's walk skips the publication until then. Waking early
+  /// does nothing.
+  double timerDue = kTimerDueNow;
 };
 
 /// Delivery timing of the most recent sampled (trace-tagged) update
@@ -182,6 +199,9 @@ struct InChannel {
   /// Sampled-update delivery timing owed to the publisher (see
   /// PendingTraceEcho); rides out on the next WINDOW_ACK.
   std::optional<PendingTraceEcho> pendingEcho;
+  /// Conservative deadline of inChannelTimer (connect retry, NACK, ack,
+  /// keep-alive, timeout); same contract as PublicationEntry::timerDue.
+  double timerDue = kTimerDueNow;
 };
 
 /// One subscription-table entry.
@@ -227,6 +247,7 @@ class CbShard {
   const PublicationEntry* publication(PublicationHandle h) const;
   SubscriptionEntry* subscription(SubscriptionHandle h);
   const SubscriptionEntry* subscription(SubscriptionHandle h) const;
+  InChannel* inChannel(std::uint32_t channelId);
   const InChannel* inChannel(std::uint32_t channelId) const;
   std::size_t sourceCount(SubscriptionHandle h) const;
   CbShardLoad load() const;
@@ -258,19 +279,23 @@ class CbShard {
   void handleSubscriberWindowAck(PublicationHandle pub, const WindowAckMsg& m,
                                  const net::NodeAddr& src, double now);
 
-  // --- timers (facade drives these in globally sorted handle order) ---
-  void subscriptionTimer(SubscriptionHandle h, double now);
+  // --- timers (facade drives these in global creation order, and only
+  // --- once the entry's deadline has come) ---
+  /// Discovery broadcast of one subscription; the caller has checked
+  /// now >= sub.nextBroadcast.
+  void subscriptionTimer(SubscriptionEntry& sub, double now);
   /// Connection retries, NACK/ack emission and keep-alive for one inbound
   /// channel; returns true if the channel has timed out and should drop
-  /// after the sweep. `subHeartbeat` is the tick-shared keep-alive frame
-  /// scratch (encoded lazily at most once per tick, re-patched per
-  /// channel).
-  bool inChannelTimer(std::uint32_t channelId, double now,
+  /// after the walk. Recomputes ch.timerDue. `subHeartbeat` is the
+  /// tick-shared keep-alive frame scratch (encoded lazily at most once
+  /// per tick, re-patched per channel).
+  bool inChannelTimer(InChannel& ch, double now,
                       std::vector<std::uint8_t>& subHeartbeat);
   void dropTimedOutInChannel(std::uint32_t channelId, double now);
   /// ACK re-sends, keep-alives, the reliable tail-retransmit sweep and
-  /// dead-subscriber timeout for one publication.
-  void publicationTimer(PublicationHandle h, double now,
+  /// dead-subscriber timeout for one publication. Recomputes
+  /// pub.timerDue.
+  void publicationTimer(PublicationEntry& pub, double now,
                         std::vector<std::uint8_t>& pubHeartbeat);
 
   // --- data plane ---
@@ -292,6 +317,10 @@ class CbShard {
   friend class CommunicationBackbone;
 
   void matchLocal(PublicationEntry& pub);
+  /// Bring a timer deadline (an entry's timerDue, a subscription's
+  /// nextBroadcast) forward to `now`, and the facade's phase-wide bound
+  /// with it. Every write that can make a deadline earlier goes here.
+  void wake(double& due, double now);
   void enqueueReflection(SubscriptionEntry& sub, Reflection r);
   /// Decode and enqueue frames the reliable queue released in order.
   /// Non-const: a released trace-tagged frame parks its delivery timing
@@ -315,8 +344,9 @@ class CbShard {
   /// verified the shared window retains everything still NACKable).
   void mergeChannelWindow(OutChannel& ch);
   /// The split/merge decision for every reliable channel of `pub`
-  /// (ReliableConfig::perChannelWindowSplit; no-op when off).
-  void runWindowSplitTimer(PublicationEntry& pub, double now);
+  /// (ReliableConfig::perChannelWindowSplit; no-op when off). Returns
+  /// true if it split or merged a window.
+  bool runWindowSplitTimer(PublicationEntry& pub, double now);
   /// kDegradeLatestValue: proactively advertise publisher-side skips to
   /// channels whose serving window evicted past their cumulative ack,
   /// without waiting for a NACK round trip.
@@ -337,8 +367,9 @@ class CbShard {
 
   /// Hash tables, not ordered maps: updateAttributeValues and the
   /// reflection paths look these up per update, and nothing needs key
-  /// order (iteration-order-sensitive work runs off the facade's sorted
-  /// snapshots).
+  /// order (iteration-order-sensitive work runs off the facade's
+  /// creation-ordered walks). Node-based, so the entry pointers those
+  /// walks cache stay valid until the entry is erased.
   std::unordered_map<PublicationHandle, PublicationEntry> publications_;
   std::unordered_map<SubscriptionHandle, SubscriptionEntry> subscriptions_;
   std::map<std::uint32_t, InChannel> inChannels_;  // keyed by channelId

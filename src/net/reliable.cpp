@@ -112,6 +112,14 @@ std::vector<std::uint64_t> ReliableSendWindow::takeTailRetransmits(
   return due;
 }
 
+double ReliableSendWindow::earliestUnackedSentSec(
+    std::uint64_t minUnacked) const {
+  double earliest = std::numeric_limits<double>::infinity();
+  for (auto it = frames_.lower_bound(minUnacked); it != frames_.end(); ++it)
+    earliest = std::min(earliest, it->second.lastSentSec);
+  return earliest;
+}
+
 // ---- ReliableReceiveQueue -----------------------------------------------
 
 void ReliableReceiveQueue::setBase(std::uint64_t firstSeq,
@@ -240,6 +248,23 @@ std::optional<std::uint64_t> ReliableReceiveQueue::collectAck(double now) {
   ackDue_ = false;
   ++stats_->windowAcksSent;
   return nextExpected_ == 0 ? 0 : nextExpected_ - 1;
+}
+
+double ReliableReceiveQueue::nextTimerDue() const {
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  if (!baseKnown_) return kNever;
+  double due = ackDue_ ? dueAfter(lastAckSec_, cfg_->ackIntervalSec) : kNever;
+  if (!missingSince_.empty()) {
+    // A NACK leaves once the oldest tracked hole has aged nackIntervalSec
+    // and the last NACK is that long ago.
+    double oldest = kNever;
+    for (const auto& [seq, since] : missingSince_)
+      oldest = std::min(oldest, since);
+    due = std::min(due,
+                   std::max(dueAfter(oldest, cfg_->nackIntervalSec),
+                            dueAfter(lastNackSec_, cfg_->nackIntervalSec)));
+  }
+  return due;
 }
 
 std::optional<std::uint64_t> ReliableReceiveQueue::piggybackAck(double now) {

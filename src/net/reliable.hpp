@@ -29,7 +29,9 @@
 // retransmit timeout covers the tail.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -65,6 +67,17 @@ enum class OverflowPolicy : std::uint8_t {
 };
 
 const char* overflowPolicyName(OverflowPolicy p);
+
+/// The earliest clock value at which `now - since >= interval` can hold:
+/// the deadline form of the interval checks the reliable layer and the CB
+/// timers make. It is a few ulps early, so that floating-point rounding
+/// can make a timer wake early (its own check then does nothing) but
+/// never late.
+inline double dueAfter(double since, double interval) {
+  if (std::isinf(since)) return since;
+  return since + interval - 4 * std::numeric_limits<double>::epsilon() *
+                                (std::abs(since) + std::abs(interval));
+}
 
 /// Tunables of the reliable layer (CB config embeds one).
 struct ReliableConfig {
@@ -224,6 +237,12 @@ class ReliableSendWindow {
   std::vector<std::uint64_t> takeTailRetransmits(std::uint64_t minUnacked,
                                                  double now);
 
+  /// Earliest (re)send time of a stored frame with seq >= `minUnacked`
+  /// (+inf if there is none): takeTailRetransmits(minUnacked, now)
+  /// returns nothing while now - this < retxTimeoutSec. Only a store or a
+  /// lower `minUnacked` can bring it forward.
+  double earliestUnackedSentSec(std::uint64_t minUnacked) const;
+
   /// Highest sequence ever evicted by overflow (0 if none): receivers
   /// NACKing at or below it must be told to skip.
   std::uint64_t highestEvicted() const { return highestEvicted_; }
@@ -310,6 +329,13 @@ class ReliableReceiveQueue {
   /// Cumulative sequence to acknowledge now, if an ack is due (progress
   /// was made, or duplicates suggest the sender missed the last ack).
   std::optional<std::uint64_t> collectAck(double now);
+
+  /// Earliest clock value at which collectNacks or collectAck can return
+  /// something (+inf if neither can until the queue is fed again). Valid
+  /// once collectNacks has run after the last offer, setBase or
+  /// abandonThrough: feeding can open holes whose ageing only that poll
+  /// starts, so a fed queue must be polled at once.
+  double nextTimerDue() const;
 
   /// Cumulative sequence to piggyback on a keep-alive that is leaving
   /// anyway (the CB batches it into the same heartbeat datagram). Unlike

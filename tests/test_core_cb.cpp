@@ -265,6 +265,55 @@ TEST_F(CbTest, DetachResignsAllRegistrations) {
   EXPECT_EQ(cbB.sourceCount(sub.handle), 0u);
 }
 
+/// Subscriber that resigns other subscriptions (its own included) from
+/// inside its first reflection, and subscribes anew.
+class Resigner : public Sub {
+ public:
+  using Sub::Sub;
+  void reflectAttributeValues(const std::string& className,
+                              const AttributeSet& attrs,
+                              double timestamp) override {
+    Sub::reflectAttributeValues(className, attrs, timestamp);
+    for (const SubscriptionHandle h : victims) backbone()->unsubscribe(h);
+    if (!victims.empty()) late = backbone()->subscribeObjectClass(*this, "demo");
+    victims.clear();
+  }
+  std::vector<SubscriptionHandle> victims;
+  SubscriptionHandle late = kInvalidHandle;
+};
+
+TEST_F(CbTest, ReflectCallbackMayResignSubscriptionsMidDelivery) {
+  // Push delivery walks the subscriptions in creation order while the
+  // callbacks run. One that resigns subscriptions still ahead in the walk
+  // (and its own, with a reflection still queued) must stop their
+  // delivery at once and never touch a freed entry (the asan lane checks
+  // that); one made by the callback waits for the next tick.
+  auto& cb = cluster.addComputer("a");
+  Pub pub("demo");
+  pub.bind(cb);
+  Sub first("demo"), victim("demo"), last("demo");
+  Resigner resigner("demo");
+  first.bind(cb);
+  resigner.bind(cb);
+  victim.bind(cb);
+  last.bind(cb);
+  resigner.victims = {victim.handle, resigner.handle};
+  pub.send(1.0, 0.0);  // local fast path: two reflections per mailbox
+  pub.send(2.0, 0.0);
+  cluster.step(0.01);
+  EXPECT_EQ(first.values.size(), 2u);
+  EXPECT_EQ(resigner.values.size(), 1u);
+  EXPECT_TRUE(victim.values.empty());
+  EXPECT_EQ(last.values.size(), 2u);
+  ASSERT_NE(resigner.late, kInvalidHandle);
+  EXPECT_EQ(cb.pending(resigner.late), 0u);
+  pub.send(3.0, 0.0);
+  cluster.step(0.01);
+  EXPECT_EQ(resigner.values.size(), 2u);  // via the new subscription
+  EXPECT_EQ(first.values.size(), 3u);
+  EXPECT_EQ(last.values.size(), 3u);
+}
+
 TEST_F(CbTest, ChannelSurvivesWellBeyondTimeout) {
   // Regression for the channel-id role collision: a CB that both publishes
   // and subscribes used to mis-route keep-alives, and its channels died at

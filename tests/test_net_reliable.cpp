@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -316,6 +320,172 @@ TEST_F(SendWindowTest, TailRetransmitsHonourTimeoutAndAcks) {
   // The sweep restarted their timers.
   EXPECT_TRUE(w.takeTailRetransmits(3, 0.4).empty());
   EXPECT_FALSE(w.takeTailRetransmits(3, 0.6).empty());
+}
+
+// ---- Deadlines: polling only when due equals polling every tick ---------
+//
+// The CB runs a channel's timer only once its deadline has come. Each test
+// feeds two identical objects the same random schedule on an irregular
+// clock: one is polled on every tick, the other only when its deadline
+// says something may be due (or, for the receive queue, right after it
+// was fed). Every poll result must match on every tick.
+
+/// xorshift64 over a fixed seed, as in test_core_protocol.cpp.
+struct XorShift {
+  std::uint64_t s = 0x9E3779B97F4A7C15ull;
+  std::uint64_t next() {
+    s ^= s << 13;
+    s ^= s >> 7;
+    s ^= s << 17;
+    return s;
+  }
+  bool percent(std::uint64_t p) { return next() % 100 < p; }
+};
+
+TEST(ReliableDeadlines, ReceiveQueuePolledWhenDueMatchesEveryTick) {
+  ReliableConfig cfg;
+  cfg.maxNacksPerMessage = 4;  // tracks 16 holes; bursts open many more
+  ReliableStats statsA, statsB;
+  ReliableReceiveQueue every(cfg, statsA), lazy(cfg, statsB);
+  std::vector<ReliableFrame> readyA, readyB;
+  XorShift rng;
+  std::uint64_t nextSeq = 1;
+  std::vector<std::uint64_t> nacked;  // the toy sender's repair queue
+  std::size_t maxHoles = 0, nackTicks = 0, ackTicks = 0;
+  bool fed = true;
+  double now = 0.0;
+  const auto feed = [&](auto&& op) {
+    op(every, readyA);
+    op(lazy, readyB);
+    fed = true;
+  };
+  for (int tick = 0; tick < 40000; ++tick) {
+    now += 0.0005 + static_cast<double>(rng.next() % 1000) * 1e-6;
+    if (tick == 40) {  // frames before the base are held, not NACKed
+      feed([](ReliableReceiveQueue& q, auto& r) { q.setBase(1, r); });
+    } else if (tick > 40 && rng.percent(1)) {  // repeated CHANNEL_ACK
+      feed([](ReliableReceiveQueue& q, auto& r) { q.setBase(1, r); });
+    }
+    if (rng.percent(25)) {
+      // New data: 30% lost, and now and then a burst lost outright.
+      if (rng.percent(2)) nextSeq += 10 + rng.next() % 40;
+      const std::uint64_t seq = nextSeq++;
+      if (!rng.percent(30))
+        feed([&](ReliableReceiveQueue& q, auto& r) { q.offer(frame(seq), r); });
+    }
+    if (!nacked.empty() && rng.percent(30)) {
+      // Repair from the last NACK, or a stale duplicate.
+      const std::uint64_t seq = nacked[rng.next() % nacked.size()];
+      feed([&](ReliableReceiveQueue& q, auto& r) { q.offer(frame(seq), r); });
+    }
+    if (rng.percent(1) && lazy.nextExpected() > 0) {  // sender evicted
+      const std::uint64_t through = lazy.nextExpected() + rng.next() % 8;
+      feed([&](ReliableReceiveQueue& q, auto& r) {
+        q.abandonThrough(through, r);
+      });
+    }
+    if (rng.percent(2)) {  // a keep-alive leaves and carries the ack
+      ASSERT_EQ(every.piggybackAck(now), lazy.piggybackAck(now));
+    }
+
+    const auto nacksA = every.collectNacks(now);
+    const auto ackA = every.collectAck(now);
+    std::vector<std::uint64_t> nacksB;
+    std::optional<std::uint64_t> ackB;
+    if (fed || now >= lazy.nextTimerDue()) {
+      nacksB = lazy.collectNacks(now);
+      ackB = lazy.collectAck(now);
+      fed = false;
+    }
+    ASSERT_EQ(nacksA, nacksB) << "tick " << tick;
+    ASSERT_EQ(ackA, ackB) << "tick " << tick;
+    if (!nacksA.empty()) {
+      nacked = nacksA;
+      ++nackTicks;
+    }
+    if (ackA) ++ackTicks;
+    if (every.nextExpected() > 0 && every.maxSeen() >= every.nextExpected())
+      maxHoles = std::max<std::size_t>(
+          maxHoles, every.maxSeen() - every.nextExpected() - every.buffered());
+  }
+  EXPECT_GT(maxHoles, 4 * cfg.maxNacksPerMessage);
+  EXPECT_GT(nackTicks, 100u);
+  EXPECT_GT(ackTicks, 100u);
+  EXPECT_EQ(readyA.size(), readyB.size());
+  EXPECT_EQ(statsA.gapsAbandoned, statsB.gapsAbandoned);
+}
+
+TEST(ReliableDeadlines, TailSweepPolledWhenDueMatchesEveryTick) {
+  ReliableConfig cfg;
+  cfg.retxTimeoutSec = 0.05;
+  cfg.maxRetransmitPerSweep = 3;  // the cap leaves due frames behind
+  ReliableStats statsA, statsB;
+  ReliableSendWindow every(cfg, statsA), lazy(cfg, statsB);
+  XorShift rng;
+  std::uint64_t nextSeq = 1, ackedThrough = 0;
+  std::size_t sweepTicks = 0;
+  double now = 0.0;
+  for (int tick = 0; tick < 40000; ++tick) {
+    now += 0.0005 + static_cast<double>(rng.next() % 1000) * 1e-6;
+    if (rng.percent(20)) {
+      every.store(nextSeq, {0x55}, now);
+      lazy.store(nextSeq, {0x55}, now);
+      ++nextSeq;
+    }
+    if (rng.percent(3) && ackedThrough + 1 < nextSeq) {
+      ackedThrough += 1 + rng.next() % (nextSeq - ackedThrough - 1);
+      every.pruneThrough(ackedThrough);
+      lazy.pruneThrough(ackedThrough);
+    }
+    if (rng.percent(2) && ackedThrough + 1 < nextSeq) {  // a NACK re-send
+      const std::uint64_t seq =
+          ackedThrough + 1 + rng.next() % (nextSeq - ackedThrough - 1);
+      every.markSent(seq, now);
+      lazy.markSent(seq, now);
+    }
+    // Stalled channels drop out of the sweep's floor and come back, so
+    // the floor moves both ways.
+    const std::uint64_t minUnacked = ackedThrough + 1 + rng.next() % 4;
+
+    const auto dueA = every.takeTailRetransmits(minUnacked, now);
+    std::vector<std::uint64_t> dueB;
+    if (now >= dueAfter(lazy.earliestUnackedSentSec(minUnacked),
+                        cfg.retxTimeoutSec))
+      dueB = lazy.takeTailRetransmits(minUnacked, now);
+    ASSERT_EQ(dueA, dueB) << "tick " << tick;
+    if (!dueA.empty()) ++sweepTicks;
+  }
+  EXPECT_GT(sweepTicks, 100u);
+}
+
+TEST(ReliableDeadlines, DueAfterIsNeverLaterThanTheIntervalCheck) {
+  // Wherever `now - since >= interval` holds, now >= dueAfter(since,
+  // interval) must hold too. Clocks within a few ulps of the boundary;
+  // early in a run `since` is below the interval, where the subtraction
+  // rounds and a plain since + interval would be late now and then.
+  XorShift rng;
+  std::size_t boundaryHits = 0;
+  for (int i = 0; i < 400000; ++i) {
+    const double since =
+        rng.percent(50)
+            ? static_cast<double>(rng.next() % 100000) * 1e-5
+            : static_cast<double>(rng.next() % 1000000) * 1e-3 +
+                  static_cast<double>(rng.next() % 1000) * 1e-9;
+    const double interval = static_cast<double>(1 + rng.next() % 500) * 1e-3;
+    double now = since + interval;
+    const int ulps = static_cast<int>(rng.next() % 7) - 3;
+    for (int k = 0; k < std::abs(ulps); ++k)
+      now = std::nextafter(now, ulps > 0 ? 1e300 : -1e300);
+    if (now - since >= interval) {
+      ASSERT_GE(now, dueAfter(since, interval)) << since << " " << interval;
+      if (now < since + interval) ++boundaryHits;
+    }
+  }
+  EXPECT_GT(boundaryHits, 0u);  // the margin was needed, not just present
+  EXPECT_EQ(dueAfter(-std::numeric_limits<double>::infinity(), 0.1),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(dueAfter(std::numeric_limits<double>::infinity(), 0.1),
+            std::numeric_limits<double>::infinity());
 }
 
 // ---- Soak: the pair over a lossy, jittery simulated LAN -----------------
