@@ -63,14 +63,10 @@ void BM_LocalFastPathUpdate(benchmark::State& state) {
 /// publication/subscription lookups are hash-table hits now (they were
 /// O(log n) ordered-map walks), so the cost must stay flat as the tables
 /// grow to state.range(0) co-registered pub/sub pairs — including the
-/// 10k-pair mass-connect scale. state.range(1) is the shard count: the
-/// tables partition by class-name hash, and a sharded run must not cost
-/// more than one shard (the lookups were already per-class).
+/// 10k-pair mass-connect scale.
 void BM_LocalFastPathUpdateWideTables(benchmark::State& state) {
   const int tables = static_cast<int>(state.range(0));
-  core::CodCluster::Config ccfg;
-  ccfg.cb.shards = static_cast<std::uint32_t>(state.range(1));
-  core::CodCluster cluster(ccfg);
+  core::CodCluster cluster;
   auto& cb = cluster.addComputer("onebox");
   NullLp pub, sub;
   cb.attach(pub);
@@ -90,7 +86,6 @@ void BM_LocalFastPathUpdateWideTables(benchmark::State& state) {
     t += 1e-4;
   }
   state.counters["tables"] = tables;
-  state.counters["shards"] = static_cast<double>(state.range(1));
 }
 
 /// Cross-host path: update serialized, sent over the simulated LAN,
@@ -278,11 +273,10 @@ void BM_DecodeUpdateMsg(benchmark::State& state) {
 
 BENCHMARK(BM_LocalFastPathUpdate);
 BENCHMARK(BM_LocalFastPathUpdateWideTables)
-    ->Args({1, 1})
-    ->Args({64, 1})
-    ->Args({1024, 1})
-    ->Args({10240, 1})
-    ->Args({10240, 16});
+    ->Arg(1)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(10240);
 BENCHMARK(BM_CrossHostUpdate);
 BENCHMARK(BM_FanOutUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(7);
 BENCHMARK(BM_FanOutSendOnly)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);

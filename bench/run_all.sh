@@ -77,7 +77,7 @@ fi
 # (vs best effort), the batching numbers (datagrams/frame batched vs
 # unbatched), the telemetry overhead share (bench_telemetry exits
 # non-zero past its 2% budget), the CB routing numbers (the wide-table
-# lookups must stay flat 1 -> 10k registered pairs at any shard count),
+# lookups must stay flat 1 -> 10k registered pairs),
 # the flight-recorder numbers (bench_trace exits non-zero past its
 # 1% recorder-share budget), the flow-control numbers (budgeted-window
 # gate overhead, per-overflow-policy costs, split-window fan-out and the

@@ -11,9 +11,8 @@ namespace cod::core {
 
 namespace {
 
-/// Sorted snapshot of an index's keys: handles and channel ids ascend in
-/// creation order, so a sorted key walk reproduces the pre-shard order
-/// whatever the shard count.
+/// Sorted snapshot of a table's keys: handles and channel ids ascend in
+/// creation order, so a sorted key walk is creation order.
 template <typename Map>
 std::vector<typename Map::key_type> sortedKeys(const Map& m) {
   std::vector<typename Map::key_type> keys;
@@ -47,10 +46,6 @@ CommunicationBackbone::CommunicationBackbone(
     asyncEngine_ = eng.get();
     transport_ = std::move(eng);
   }
-  const std::uint32_t n = std::max<std::uint32_t>(1, cfg_.shards);
-  shards_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    shards_.push_back(std::make_unique<CbShard>(*this, i));
   if (cfg_.trace != nullptr) traceLane_ = cfg_.trace->registerLane(name_);
 }
 
@@ -323,13 +318,13 @@ void CommunicationBackbone::detach(LogicalProcess& lp) {
   if (lp.cb_ != this) return;
   // Resign every registration owned by this LP.
   std::vector<PublicationHandle> pubs;
-  for (const auto& [h, s] : pubShard_)
-    if (shards_[s]->publication(h)->lp == lp.id_) pubs.push_back(h);
+  for (const auto& [h, pub] : publications_)
+    if (pub.lp == lp.id_) pubs.push_back(h);
   std::sort(pubs.begin(), pubs.end());
   for (const PublicationHandle h : pubs) unpublish(h);
   std::vector<SubscriptionHandle> subs;
-  for (const auto& [h, s] : subShard_)
-    if (shards_[s]->subscription(h)->lp == lp.id_) subs.push_back(h);
+  for (const auto& [h, sub] : subscriptions_)
+    if (sub.lp == lp.id_) subs.push_back(h);
   std::sort(subs.begin(), subs.end());
   for (const SubscriptionHandle h : subs) unsubscribe(h);
   lps_.erase(lp.id_);
@@ -338,47 +333,35 @@ void CommunicationBackbone::detach(LogicalProcess& lp) {
 }
 
 PublicationEntry* CommunicationBackbone::findPublication(PublicationHandle h) {
-  const auto it = pubShard_.find(h);
-  return it == pubShard_.end() ? nullptr : shards_[it->second]->publication(h);
+  const auto it = publications_.find(h);
+  return it == publications_.end() ? nullptr : &it->second;
 }
 
 const PublicationEntry* CommunicationBackbone::findPublication(
     PublicationHandle h) const {
-  const auto it = pubShard_.find(h);
-  return it == pubShard_.end() ? nullptr : shards_[it->second]->publication(h);
+  const auto it = publications_.find(h);
+  return it == publications_.end() ? nullptr : &it->second;
 }
 
 SubscriptionEntry* CommunicationBackbone::findSubscription(
     SubscriptionHandle h) {
-  const auto it = subShard_.find(h);
-  return it == subShard_.end() ? nullptr : shards_[it->second]->subscription(h);
+  const auto it = subscriptions_.find(h);
+  return it == subscriptions_.end() ? nullptr : &it->second;
 }
 
 const SubscriptionEntry* CommunicationBackbone::findSubscription(
     SubscriptionHandle h) const {
-  const auto it = subShard_.find(h);
-  return it == subShard_.end() ? nullptr : shards_[it->second]->subscription(h);
-}
-
-void CommunicationBackbone::registerInChannel(std::uint32_t channelId,
-                                              std::uint32_t shard) {
-  inChannelShard_[channelId] = shard;
-  ++inWalk_.generation;
-}
-
-void CommunicationBackbone::unregisterInChannel(std::uint32_t channelId) {
-  inChannelShard_.erase(channelId);
-  ++inWalk_.generation;
+  const auto it = subscriptions_.find(h);
+  return it == subscriptions_.end() ? nullptr : &it->second;
 }
 
 void CommunicationBackbone::registerOutChannel(const net::NodeAddr& remote,
                                                std::uint32_t remoteChannelId,
-                                               std::uint32_t shard,
                                                PublicationHandle pub) {
   // Assignment, not emplace: a restarted subscriber may reuse a channel
   // id against a different publication while the stale channel rides out
   // its timeout — the newest registration wins the route.
-  outChannelIndex_[{remote, remoteChannelId}] = {shard, pub};
+  outChannelIndex_[{remote, remoteChannelId}] = pub;
 }
 
 void CommunicationBackbone::unregisterOutChannel(const net::NodeAddr& remote,
@@ -388,67 +371,17 @@ void CommunicationBackbone::unregisterOutChannel(const net::NodeAddr& remote,
   // Guarded erase: if the id was re-registered to a newer publication
   // (see registerOutChannel), the stale channel's teardown must not drop
   // the live route.
-  if (it != outChannelIndex_.end() && it->second.second == pub)
+  if (it != outChannelIndex_.end() && it->second == pub)
     outChannelIndex_.erase(it);
-}
-
-PublicationHandle CommunicationBackbone::publishObjectClass(
-    LogicalProcess& lp, const std::string& className, net::QosClass qos) {
-  if (lp.cb_ != this) attach(lp);
-  PublicationEntry e;
-  e.id = nextHandle_++;
-  e.lp = lp.id_;
-  e.className = className;
-  e.qos = qos;
-  const PublicationHandle h = e.id;
-  const std::uint32_t s = shardOf(className);
-  pubShard_.emplace(h, s);
-  ++pubWalk_.generation;
-  shards_[s]->addPublication(std::move(e));
-  return h;
-}
-
-SubscriptionHandle CommunicationBackbone::subscribeObjectClass(
-    LogicalProcess& lp, const std::string& className, net::QosClass qos) {
-  if (lp.cb_ != this) attach(lp);
-  SubscriptionEntry e;
-  e.id = nextHandle_++;
-  e.lp = lp.id_;
-  e.className = className;
-  e.qos = qos;
-  e.nextBroadcast = now_;  // start discovery on the next tick
-  const SubscriptionHandle h = e.id;
-  const std::uint32_t s = shardOf(className);
-  subShard_.emplace(h, s);
-  ++subWalk_.generation;
-  shards_[s]->addSubscription(std::move(e));
-  return h;
-}
-
-void CommunicationBackbone::unpublish(PublicationHandle h) {
-  const auto it = pubShard_.find(h);
-  if (it == pubShard_.end()) return;
-  shards_[it->second]->unpublish(h);
-  pubShard_.erase(it);
-  ++pubWalk_.generation;
-}
-
-void CommunicationBackbone::unsubscribe(SubscriptionHandle h) {
-  const auto it = subShard_.find(h);
-  if (it == subShard_.end()) return;
-  shards_[it->second]->unsubscribe(h);
-  subShard_.erase(it);
-  ++subWalk_.generation;
 }
 
 bool CommunicationBackbone::updateAttributeValues(PublicationHandle h,
                                                   const AttributeSet& attrs,
                                                   double timestamp) {
-  const auto it = pubShard_.find(h);
-  if (it == pubShard_.end())
+  PublicationEntry* pub = findPublication(h);
+  if (pub == nullptr)
     throw std::invalid_argument("updateAttributeValues: unknown publication");
-  CbShard& shard = *shards_[it->second];
-  return shard.update(*shard.publication(h), attrs, timestamp);
+  return update(*pub, attrs, timestamp);
 }
 
 void CommunicationBackbone::setPublicationOverflowPolicy(
@@ -469,11 +402,6 @@ void CommunicationBackbone::setPublicationThinningExempt(PublicationHandle h,
     throw std::invalid_argument(
         "setPublicationThinningExempt: unknown handle");
   pub->thinExempt = exempt;
-}
-
-void CommunicationBackbone::setPeerSendFactor(const net::NodeAddr& peer,
-                                              double factor) {
-  for (auto& shard : shards_) shard->setPeerSendFactor(peer, factor);
 }
 
 std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
@@ -505,7 +433,7 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
   std::vector<CbChannelHealth> out;
   // Publisher side in publication-id (creation) order: the tables hash,
   // but telemetry snapshots should diff stably between intervals.
-  for (const PublicationHandle h : sortedKeys(pubShard_)) {
+  for (const PublicationHandle h : sortedKeys(publications_)) {
     const PublicationEntry& pub = *findPublication(h);
     for (const OutChannel& ch : pub.channels) {
       CbChannelHealth hh;
@@ -524,12 +452,10 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
       out.push_back(std::move(hh));
     }
   }
-  for (const std::uint32_t cid : sortedKeys(inChannelShard_)) {
-    const CbShard& shard = *shards_[inChannelShard_.find(cid)->second];
-    const InChannel& ch = *shard.inChannel(cid);
+  for (const auto& [cid, ch] : inChannels_) {
     CbChannelHealth hh;
     hh.channelId = cid;
-    const SubscriptionEntry* sub = shard.subscription(ch.subscription);
+    const SubscriptionEntry* sub = findSubscription(ch.subscription);
     if (sub != nullptr) hh.className = sub->className;
     hh.outbound = false;
     hh.qos = ch.qos;
@@ -542,18 +468,6 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
     out.push_back(std::move(hh));
   }
   return out;
-}
-
-std::size_t CommunicationBackbone::sourceCount(SubscriptionHandle h) const {
-  const auto it = subShard_.find(h);
-  if (it == subShard_.end()) return 0;
-  return shards_[it->second]->sourceCount(h);
-}
-
-CbShardLoad CommunicationBackbone::shardLoad(std::uint32_t shard) const {
-  if (shard >= shards_.size())
-    throw std::out_of_range("shardLoad: no such shard");
-  return shards_[shard]->load();
 }
 
 void CommunicationBackbone::tick(double now) {
@@ -661,85 +575,56 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
   const auto routeStart =
       cfg_.phaseProfile ? Clock::now() : Clock::time_point{};
   switch (msg.type) {
-    // Discovery messages route by the class hash decode() stamped on
-    // them: the owning shard is a modulo away, no table scan. A message
-    // whose hash routes to a shard that does not hold the named entry is
-    // dropped there — the same fate the pre-shard CB gave mismatched
-    // class names.
     case MsgType::kSubscription:
-      shardForHash(msg.subscription.classHash)
-          .handleSubscription(msg.subscription, src, now);
+      handleSubscription(msg.subscription, src);
       break;
     case MsgType::kAcknowledge:
-      shardForHash(msg.acknowledge.classHash)
-          .handleAcknowledge(msg.acknowledge, src, now);
+      handleAcknowledge(msg.acknowledge, src, now);
       break;
     case MsgType::kChannelConnection:
-      shardForHash(msg.channelConnection.classHash)
-          .handleChannelConnection(msg.channelConnection, src, now);
+      handleChannelConnection(msg.channelConnection, src, now);
       break;
-    // Subscriber-side channel messages route by channel id.
-    case MsgType::kChannelAck: {
-      const auto it = inChannelShard_.find(msg.channelAck.channelId);
-      if (it != inChannelShard_.end())
-        shards_[it->second]->handleChannelAck(msg.channelAck, src, now);
+    // Subscriber-side channel messages are keyed by our own channel id.
+    case MsgType::kChannelAck:
+      handleChannelAck(msg.channelAck, now);
       break;
-    }
-    case MsgType::kUpdate: {
-      const auto it = inChannelShard_.find(msg.update.channelId);
-      if (it == inChannelShard_.end()) {
-        ++stats_.unknownChannelDrops;
-        break;
-      }
-      shards_[it->second]->handleUpdate(msg.update, src, now);
+    case MsgType::kUpdate:
+      handleUpdate(msg.update, now);
       break;
-    }
     // Messages that may target either role route by the direction flag:
-    // publisher-sent ones through the channel-id index, subscriber-sent
-    // ones through the (peer, channel id) → publication index.
+    // publisher-sent ones by channel id, subscriber-sent ones through the
+    // (peer, channel id) → publication index.
     case MsgType::kHeartbeat:
       if (msg.heartbeat.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.heartbeat.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherHeartbeat(msg.heartbeat, src,
-                                                        now);
+        handlePublisherHeartbeat(msg.heartbeat, src, now);
       } else {
         const auto it = outChannelIndex_.find({src, msg.heartbeat.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberHeartbeat(
-              it->second.second, msg.heartbeat, src, now);
+          handleSubscriberHeartbeat(it->second, msg.heartbeat, src, now);
       }
       break;
     case MsgType::kBye:
       if (msg.bye.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.bye.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherBye(msg.bye, src);
+        handlePublisherBye(msg.bye, src);
       } else {
         const auto it = outChannelIndex_.find({src, msg.bye.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberBye(it->second.second,
-                                                         msg.bye, src);
+          handleSubscriberBye(it->second, msg.bye, src);
       }
       break;
     case MsgType::kNack: {
       const auto it = outChannelIndex_.find({src, msg.nack.channelId});
       if (it != outChannelIndex_.end())
-        shards_[it->second.first]->handleNack(it->second.second, msg.nack, src,
-                                              now);
+        handleNack(it->second, msg.nack, src, now);
       break;
     }
     case MsgType::kWindowAck:
       if (msg.windowAck.fromPublisher) {
-        const auto it = inChannelShard_.find(msg.windowAck.channelId);
-        if (it != inChannelShard_.end())
-          shards_[it->second]->handlePublisherWindowAck(msg.windowAck, src,
-                                                        now);
+        handlePublisherWindowAck(msg.windowAck, src, now);
       } else {
         const auto it = outChannelIndex_.find({src, msg.windowAck.channelId});
         if (it != outChannelIndex_.end())
-          shards_[it->second.first]->handleSubscriberWindowAck(
-              it->second.second, msg.windowAck, src, now);
+          handleSubscriberWindowAck(it->second, msg.windowAck, src, now);
       }
       break;
     case MsgType::kBatch:
@@ -753,77 +638,71 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
         std::chrono::duration<double>(Clock::now() - routeStart).count();
 }
 
-template <typename Entry, typename Index>
-void CommunicationBackbone::refreshWalk(
-    Walk<Entry>& walk, const Index& index,
-    Entry* (CbShard::*find)(std::uint32_t)) {
+template <typename Entry, typename Table>
+void CommunicationBackbone::refreshWalk(Walk<Entry>& walk, Table& table) {
   if (!walk.stale()) return;
   walk.items.clear();
-  walk.items.reserve(index.size());
-  for (const auto& [key, s] : index) {
-    CbShard& shard = *shards_[s];
-    walk.items.push_back({key, &shard, (shard.*find)(key)});
-  }
+  walk.items.reserve(table.size());
+  for (auto& [key, entry] : table) walk.items.push_back({key, &entry});
   std::sort(walk.items.begin(), walk.items.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
   walk.builtAt = walk.generation;
 }
 
 void CommunicationBackbone::runTimers(double now) {
-  // Every phase walks its entries in creation order and dispatches each
-  // into the owning shard: creation order on the wire, exactly as the
-  // pre-shard CB emitted it, whatever Config::shards says. An entry runs
-  // only once its deadline has come; the deadlines are conservative, so
-  // a skipped entry had nothing to send, and the wire matches a walk
-  // that ran every entry on every tick. Nothing here (un)registers an
-  // entry until the in-channel drops, so the cached pointers hold.
+  // Every phase walks its entries in creation order, so the wire carries
+  // them in creation order. An entry runs only once its deadline has
+  // come; the deadlines are conservative, so a skipped entry had nothing
+  // to send, and the wire matches a walk that ran every entry on every
+  // tick. Nothing here (un)registers an entry until the in-channel drops,
+  // so the cached pointers hold.
   if (now < timersDue_ && !subWalk_.stale() && !inWalk_.stale() &&
       !pubWalk_.stale())
     return;
-  refreshWalk(subWalk_, subShard_, &CbShard::subscription);
-  refreshWalk(inWalk_, inChannelShard_, &CbShard::inChannel);
-  refreshWalk(pubWalk_, pubShard_, &CbShard::publication);
+  refreshWalk(subWalk_, subscriptions_);
+  refreshWalk(inWalk_, inChannels_);
+  refreshWalk(pubWalk_, publications_);
   // Every deadline, as each entry's turn leaves it, folds into the bound
   // (and so does any wake the phase itself causes).
   timersDue_ = std::numeric_limits<double>::infinity();
 
   // Subscription discovery broadcasts (§2.3).
-  for (const auto& [h, shard, sub] : subWalk_.items) {
-    if (now >= sub->nextBroadcast) shard->subscriptionTimer(*sub, now);
+  for (const auto& [h, sub] : subWalk_.items) {
+    if (now >= sub->nextBroadcast) subscriptionTimer(*sub, now);
     timersDue_ = std::min(timersDue_, sub->nextBroadcast);
   }
 
   // Retransmit CHANNEL_CONNECTION for channels still awaiting their ack,
   // and time out dead inbound channels. Keep-alive frames in one pass
-  // differ only in channel id, so the tick encodes at most one frame
-  // (shared across shards) and re-targets it per channel.
+  // differ only in channel id, so the tick encodes at most one frame and
+  // re-targets it per channel.
   std::vector<std::uint8_t> subHeartbeat;
-  std::vector<std::pair<std::uint32_t, CbShard*>> toDrop;
-  for (const auto& [cid, shard, ch] : inWalk_.items) {
-    if (now >= ch->timerDue && shard->inChannelTimer(*ch, now, subHeartbeat))
-      toDrop.emplace_back(cid, shard);
+  std::vector<std::uint32_t> toDrop;
+  for (const auto& [cid, ch] : inWalk_.items) {
+    if (now >= ch->timerDue && inChannelTimer(*ch, now, subHeartbeat))
+      toDrop.push_back(cid);
     timersDue_ = std::min(timersDue_, ch->timerDue);
   }
-  for (const auto& [cid, shard] : toDrop) shard->dropTimedOutInChannel(cid, now);
+  for (const std::uint32_t cid : toDrop) dropTimedOutInChannel(cid, now);
 
   // Publisher keep-alives on idle channels, the reliable tail-retransmit
   // sweep, and timeout of dead subscribers.
   std::vector<std::uint8_t> pubHeartbeat;
-  for (const auto& [h, shard, pub] : pubWalk_.items) {
-    if (now >= pub->timerDue) shard->publicationTimer(*pub, now, pubHeartbeat);
+  for (const auto& [h, pub] : pubWalk_.items) {
+    if (now >= pub->timerDue) publicationTimer(*pub, now, pubHeartbeat);
     timersDue_ = std::min(timersDue_, pub->timerDue);
   }
 }
 
 void CommunicationBackbone::deliverMailboxes() {
   // Subscription-id order == creation order: push delivery across LPs
-  // must not depend on hash-table layout (or shard layout). A reflect
-  // callback may (un)subscribe re-entrantly; once that has happened,
-  // entries are re-found by handle, since a cached pointer may dangle.
-  // Subscriptions made by a callback wait for the next tick.
+  // must not depend on hash-table layout. A reflect callback may
+  // (un)subscribe re-entrantly; once that has happened, entries are
+  // re-found by handle, since a cached pointer may dangle. Subscriptions
+  // made by a callback wait for the next tick.
   if (!mailboxesPending_) return;
   mailboxesPending_ = false;
-  refreshWalk(subWalk_, subShard_, &CbShard::subscription);
+  refreshWalk(subWalk_, subscriptions_);
   const std::uint64_t generation = subWalk_.generation;
   for (std::size_t i = 0; i < subWalk_.items.size(); ++i) {
     const SubscriptionHandle h = subWalk_.items[i].key;

@@ -25,13 +25,10 @@
 //    surround view pushes 3+ attribute sets per frame, and without
 //    coalescing each one costs a datagram per channel.
 //
-// Internally the routing core is partitioned into CbShard units keyed by
-// classNameHash(className) % Config::shards (src/core/shard.hpp): table
-// lookups and discovery matching touch only the shard that owns a class,
-// while this facade keeps the public API, the transport, the coalescer,
-// id allocation, the stats block and — via walks in global creation
-// order — wire ordering, so every shard count is wire-byte-identical to
-// shards=1.
+// The routing tables (core/tables.hpp) and the handlers and timers that
+// read and write them (core/routing.cpp) are private members. Whatever
+// reaches the wire in a loop runs in creation order (ascending handle or
+// channel id), never in hash-table order.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +39,12 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/shard.hpp"
+#include "core/tables.hpp"
 #include "core/value.hpp"
 #include "net/reliable.hpp"
 #include "net/transport.hpp"
@@ -60,6 +56,8 @@ class AsyncTransport;
 }  // namespace cod::net
 
 namespace cod::core {
+
+class CommunicationBackbone;
 
 /// Base class for the paper's Logical Processes. Derive, override
 /// reflectAttributeValues() (push model) and/or poll the CB (pull model),
@@ -190,13 +188,6 @@ class CommunicationBackbone {
     /// Push reflections to LogicalProcess::reflectAttributeValues on tick.
     /// (Pull via poll()/latest() works in either mode.)
     bool pushDelivery = true;
-    /// Routing shards: publication/subscription tables and discovery
-    /// matching are partitioned by classNameHash(className) % shards, so
-    /// a node carrying thousands of registrations pays per-class — not
-    /// per-table — lookup costs. Any value is wire-byte-identical to 1
-    /// (ordering is orchestrated globally); size it roughly to
-    /// expected distinct classes / 64. 0 is clamped to 1.
-    std::uint32_t shards = 1;
     /// Tunables of the kReliableOrdered channel machinery.
     net::ReliableConfig reliable;
     /// Tunables of the per-peer send coalescer.
@@ -210,11 +201,6 @@ class CommunicationBackbone {
       /// would push past this flushes early; a single frame larger than
       /// the budget bypasses the container and is sent bare.
       std::size_t byteBudget = 1200;
-      /// Latency escape hatch: flush a publication's peers immediately
-      /// after updateAttributeValues on any reliable channel, instead of
-      /// waiting for the end-of-tick flush. Costs the coalescing win on
-      /// those peers; meant for latency-critical command streams.
-      bool flushReliableUpdates = false;
       /// Adaptive mid-tick flush: once the bytes staged across ALL peers
       /// since the last flush exceed this, everything leaves immediately
       /// instead of pooling until end of tick. Bounds the burst a heavy
@@ -364,16 +350,8 @@ class CommunicationBackbone {
   std::size_t peerSlotCount() const { return batchSlots_.size(); }
   std::size_t peerSlotCapacity() const { return peerBatches_.size(); }
 
-  /// Routing shards in this CB (>= 1; Config::shards clamped).
-  std::size_t shardCount() const { return shards_.size(); }
-  /// The shard index that owns `className` (same formula every node
-  /// applies to decoded discovery messages).
-  std::uint32_t shardOf(std::string_view className) const {
-    return classNameHash(className) %
-           static_cast<std::uint32_t>(shards_.size());
-  }
-  /// Table sizes of one shard, for balance checks in tests and tooling.
-  CbShardLoad shardLoad(std::uint32_t shard) const;
+  /// Routing-table sizes, for tests and the telemetry record.
+  CbTableLoad tableLoad() const;
 
   /// Latency/size histograms this CB maintains (telemetry record v3):
   /// delivery latency of sampled reliable updates, tick duration, flush
@@ -387,8 +365,6 @@ class CommunicationBackbone {
   }
 
  private:
-  friend class CbShard;
-
   /// True while hot paths should pay for trace records.
   bool tracing() const {
     return cfg_.trace != nullptr && cfg_.trace->enabled();
@@ -402,26 +378,24 @@ class CommunicationBackbone {
   }
 
   void handleDatagram(const net::Datagram& d, double now);
-  /// Route one decoded message to the shard that owns it (sub-frames of a
-  /// kBatch container go through here individually). Discovery messages
-  /// route by their stamped class hash; channel-scoped messages through
-  /// the channel-id / (peer, channel-id) indexes.
+  /// Route one decoded message to its handler (sub-frames of a kBatch
+  /// container go through here individually). Subscriber-sent channel
+  /// messages resolve their publication through outChannelIndex_.
   void dispatchMessage(CbMessage& msg, const net::NodeAddr& src, double now);
 
   void runTimers(double now);
   void deliverMailboxes();
 
   /// A cached walk over one kind of entry in creation order (ascending
-  /// handle or channel id, whatever shard holds the entry). The timer and
-  /// mailbox phases walk these instead of sorting the indexes every tick.
-  /// Every change to the matching index bumps `generation`; the walk is
+  /// handle or channel id). The timer and mailbox phases walk these
+  /// instead of sorting the tables every tick. Every insertion into or
+  /// erasure from the matching table bumps `generation`; the walk is
   /// rebuilt on its next use, and a walk in progress that sees the bump
   /// stops trusting its entry pointers.
   template <typename Entry>
   struct Walk {
     struct Item {
       std::uint32_t key;
-      CbShard* shard;
       Entry* entry;
     };
     std::vector<Item> items;
@@ -429,32 +403,121 @@ class CommunicationBackbone {
     std::uint64_t builtAt = 0;  // generation `items` reflects
     bool stale() const { return builtAt != generation; }
   };
-  /// Rebuild `walk` from `index` (key → shard) if it is stale.
-  template <typename Entry, typename Index>
-  void refreshWalk(Walk<Entry>& walk, const Index& index,
-                   Entry* (CbShard::*find)(std::uint32_t));
+  /// Rebuild `walk` from `table` (key → entry) if it is stale.
+  template <typename Entry, typename Table>
+  void refreshWalk(Walk<Entry>& walk, Table& table);
 
-  CbShard& shardForHash(std::uint32_t classHash) {
-    return *shards_[classHash % static_cast<std::uint32_t>(shards_.size())];
-  }
-  /// Entry lookups across shards via the handle→shard indexes (null if
-  /// unknown). The non-const forms are what the public accessors use.
+  /// Table lookups (null if unknown).
   PublicationEntry* findPublication(PublicationHandle h);
   const PublicationEntry* findPublication(PublicationHandle h) const;
   SubscriptionEntry* findSubscription(SubscriptionHandle h);
   const SubscriptionEntry* findSubscription(SubscriptionHandle h) const;
 
-  /// Shard-side bookkeeping hooks: every inbound channel and every
-  /// outgoing channel endpoint is registered here so inbound traffic
-  /// routes O(log n) to its shard instead of scanning all tables.
-  void registerInChannel(std::uint32_t channelId, std::uint32_t shard);
-  void unregisterInChannel(std::uint32_t channelId);
+  /// Every outgoing channel endpoint is registered in outChannelIndex_ so
+  /// subscriber-sent traffic finds its publication without a table scan.
   void registerOutChannel(const net::NodeAddr& remote,
-                          std::uint32_t remoteChannelId, std::uint32_t shard,
+                          std::uint32_t remoteChannelId,
                           PublicationHandle pub);
   void unregisterOutChannel(const net::NodeAddr& remote,
                             std::uint32_t remoteChannelId,
                             PublicationHandle pub);
+
+  // --- message handlers (core/routing.cpp), called by dispatchMessage ---
+  void handleSubscription(const SubscriptionMsg& m, const net::NodeAddr& src);
+  void handleAcknowledge(const AcknowledgeMsg& m, const net::NodeAddr& src,
+                         double now);
+  void handleChannelConnection(const ChannelConnectionMsg& m,
+                               const net::NodeAddr& src, double now);
+  void handleChannelAck(const ChannelAckMsg& m, double now);
+  void handleUpdate(UpdateMsg& m, double now);
+  /// Publisher keep-alive → refresh our inbound channel.
+  void handlePublisherHeartbeat(const HeartbeatMsg& m,
+                                const net::NodeAddr& src, double now);
+  /// Subscriber keep-alive → refresh our outgoing channel on `pub`
+  /// (resolved from (src, channelId) through outChannelIndex_).
+  void handleSubscriberHeartbeat(PublicationHandle pub, const HeartbeatMsg& m,
+                                 const net::NodeAddr& src, double now);
+  void handlePublisherBye(const ByeMsg& m, const net::NodeAddr& src);
+  void handleSubscriberBye(PublicationHandle pub, const ByeMsg& m,
+                           const net::NodeAddr& src);
+  void handleNack(PublicationHandle pub, const NackMsg& m,
+                  const net::NodeAddr& src, double now);
+  void handlePublisherWindowAck(const WindowAckMsg& m,
+                                const net::NodeAddr& src, double now);
+  void handleSubscriberWindowAck(PublicationHandle pub, const WindowAckMsg& m,
+                                 const net::NodeAddr& src, double now);
+
+  // --- timers (runTimers drives these in creation order, and only once
+  // --- the entry's deadline has come) ---
+  /// Discovery broadcast of one subscription; the caller has checked
+  /// now >= sub.nextBroadcast.
+  void subscriptionTimer(SubscriptionEntry& sub, double now);
+  /// Connection retries, NACK/ack emission and keep-alive for one inbound
+  /// channel; returns true if the channel has timed out and should drop
+  /// after the walk. Recomputes ch.timerDue. `subHeartbeat` is the
+  /// tick-shared keep-alive frame scratch (encoded lazily at most once
+  /// per tick, re-patched per channel).
+  bool inChannelTimer(InChannel& ch, double now,
+                      std::vector<std::uint8_t>& subHeartbeat);
+  void dropTimedOutInChannel(std::uint32_t channelId, double now);
+  /// ACK re-sends, keep-alives, the reliable tail-retransmit sweep and
+  /// dead-subscriber timeout for one publication. Recomputes
+  /// pub.timerDue.
+  void publicationTimer(PublicationEntry& pub, double now,
+                        std::vector<std::uint8_t>& pubHeartbeat);
+
+  // --- data plane and table upkeep (core/routing.cpp) ---
+  /// The body of updateAttributeValues for a known publication.
+  bool update(PublicationEntry& pub, const AttributeSet& attrs,
+              double timestamp);
+  void removeInChannel(std::uint32_t channelId, bool sendBye);
+  /// Link `pub` to every same-class subscription on this CB.
+  void matchLocal(PublicationEntry& pub);
+  /// Bring a timer deadline (an entry's timerDue, a subscription's
+  /// nextBroadcast) forward to `now`, and timersDue_ with it. Every write
+  /// that can make a deadline earlier goes here.
+  void wake(double& due, double now);
+  void enqueueReflection(SubscriptionEntry& sub, Reflection r);
+  /// Decode and enqueue frames the reliable queue released in order.
+  /// Non-const: a released trace-tagged frame parks its delivery timing
+  /// in `ch.pendingEcho` for the next WINDOW_ACK.
+  void deliverReliableReady(InChannel& ch,
+                            std::vector<net::ReliableFrame>& ready);
+  /// Move `ch.pendingEcho` (if any) onto an outgoing WINDOW_ACK.
+  static void attachTraceEcho(InChannel& ch, WindowAckMsg& ack, double now);
+  /// Attach this channel's cumulative duplicate count to an outgoing
+  /// WINDOW_ACK (dup block) when any duplicates have been dropped.
+  static void attachDupReport(const InChannel& ch, WindowAckMsg& ack);
+  /// The send window serving `ch`: its private split window if one
+  /// exists, else the publication's shared window.
+  static net::ReliableSendWindow* windowFor(PublicationEntry& pub,
+                                            OutChannel& ch);
+  /// Split `ch` onto a private send window seeded from the shared one
+  /// (everything above its cumulative ack), then re-compact the shared
+  /// window the laggard no longer pins.
+  void splitChannelWindow(PublicationEntry& pub, OutChannel& ch, double now);
+  /// Drop `ch`'s private window and rejoin the shared one (caller has
+  /// verified the shared window retains everything still NACKable).
+  void mergeChannelWindow(OutChannel& ch);
+  /// The split/merge decision for every reliable channel of `pub`
+  /// (ReliableConfig::perChannelWindowSplit; no-op when off). Returns
+  /// true if it split or merged a window.
+  bool runWindowSplitTimer(PublicationEntry& pub, double now);
+  /// kDegradeLatestValue: proactively advertise publisher-side skips to
+  /// channels whose serving window evicted past their cumulative ack,
+  /// without waiting for a NACK round trip.
+  void advertiseDegradeSkips(PublicationEntry& pub);
+  /// Prune (or drop) a publication's retransmit window after acks or
+  /// channel departures.
+  static void compactSendWindow(PublicationEntry& pub);
+  /// The outgoing channel `(src, remoteChannelId)` within `pub`; null if
+  /// unknown.
+  static OutChannel* findOutChannelIn(PublicationEntry& pub,
+                                      const net::NodeAddr& src,
+                                      std::uint32_t remoteChannelId);
+  static void eraseFromIndex(
+      std::unordered_map<std::string, std::vector<std::uint32_t>>& index,
+      const std::string& className, std::uint32_t handle);
 
   /// One frame staged for a peer, as a descriptor into the shared staging
   /// arena (`stageArena_`) rather than bytes of its own. The arena entry
@@ -549,29 +612,31 @@ class CommunicationBackbone {
 
   std::map<LpId, LogicalProcess*> lps_;
 
-  /// The routing shards (fixed at construction, >= 1) and the global
-  /// handle→shard / channel→shard indexes the dispatcher routes through.
-  /// Index keys are also what every wire-order-sensitive walk is built
-  /// from, sorted, so ordering never depends on shard count.
-  std::vector<std::unique_ptr<CbShard>> shards_;
-  std::unordered_map<PublicationHandle, std::uint32_t> pubShard_;
-  std::unordered_map<SubscriptionHandle, std::uint32_t> subShard_;
-  std::unordered_map<std::uint32_t, std::uint32_t> inChannelShard_;
+  /// Hash tables, not ordered maps: updateAttributeValues and the
+  /// reflection paths look these up per update, and nothing needs key
+  /// order (iteration-order-sensitive work runs off the creation-ordered
+  /// walks below). Node-based, so the entry pointers those walks cache
+  /// stay valid until the entry is erased.
+  std::unordered_map<PublicationHandle, PublicationEntry> publications_;
+  std::unordered_map<SubscriptionHandle, SubscriptionEntry> subscriptions_;
+  std::map<std::uint32_t, InChannel> inChannels_;  // keyed by channelId
+  /// Per-class handle lists (creation order — handles ascend), so
+  /// discovery matching is O(entries of the class).
+  std::unordered_map<std::string, std::vector<PublicationHandle>> pubsByClass_;
+  std::unordered_map<std::string, std::vector<SubscriptionHandle>> subsByClass_;
   Walk<PublicationEntry> pubWalk_;
   Walk<SubscriptionEntry> subWalk_;
   Walk<InChannel> inWalk_;
   /// Lower bound on every deadline in the walks (each timerDue and
   /// nextBroadcast): a tick before it, with no walk stale, skips the
-  /// timer phase outright. runTimers recomputes it; CbShard::wake lowers
-  /// it whenever a deadline comes forward.
+  /// timer phase outright. runTimers recomputes it; wake lowers it
+  /// whenever a deadline comes forward.
   double timersDue_ = kTimerDueNow;
   /// Set on every enqueue: some mailbox may hold a reflection.
   bool mailboxesPending_ = false;
-  /// (subscriber endpoint, subscriber-allocated channel id) → owning
-  /// shard + publication: the publisher-side route for heartbeats, BYEs,
-  /// NACKs and window acks, replacing the old all-tables scan.
-  std::map<std::pair<net::NodeAddr, std::uint32_t>,
-           std::pair<std::uint32_t, PublicationHandle>>
+  /// (subscriber endpoint, subscriber-allocated channel id) → publication:
+  /// the publisher-side route for heartbeats, BYEs, NACKs and window acks.
+  std::map<std::pair<net::NodeAddr, std::uint32_t>, PublicationHandle>
       outChannelIndex_;
 
   std::vector<PeerBatch> peerBatches_;

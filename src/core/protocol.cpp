@@ -14,18 +14,6 @@ net::WireWriter header(MsgType t) {
 
 }  // namespace
 
-std::uint32_t classNameHash(std::string_view name) {
-  // FNV-1a, 32-bit. Chosen for cross-process stability, not speed: it is
-  // computed once per decoded discovery message and once per
-  // publish/subscribe call, never on the data plane.
-  std::uint32_t h = 2166136261u;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
-
 std::vector<std::uint8_t> encode(const SubscriptionMsg& m) {
   net::WireWriter w = header(MsgType::kSubscription);
   w.u32(m.subscriptionId);
@@ -228,7 +216,6 @@ std::optional<CbMessage> decode(std::span<const std::uint8_t> bytes) {
       auto cls = r.str();
       if (!id || !cls) return std::nullopt;
       msg.subscription = {*id, std::move(*cls)};
-      msg.subscription.classHash = classNameHash(msg.subscription.className);
       break;
     }
     case MsgType::kAcknowledge: {
@@ -237,7 +224,6 @@ std::optional<CbMessage> decode(std::span<const std::uint8_t> bytes) {
       auto cls = r.str();
       if (!sid || !pid || !cls) return std::nullopt;
       msg.acknowledge = {*sid, *pid, std::move(*cls)};
-      msg.acknowledge.classHash = classNameHash(msg.acknowledge.className);
       break;
     }
     case MsgType::kChannelConnection: {
@@ -251,8 +237,6 @@ std::optional<CbMessage> decode(std::span<const std::uint8_t> bytes) {
         return std::nullopt;
       msg.channelConnection = {*sid, *pid, *ch, std::move(*cls),
                                static_cast<net::QosClass>(*qos)};
-      msg.channelConnection.classHash =
-          classNameHash(msg.channelConnection.className);
       break;
     }
     case MsgType::kChannelAck: {

@@ -20,20 +20,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/reliable.hpp"
 #include "net/wire.hpp"
 
 namespace cod::core {
-
-/// Stable 32-bit FNV-1a hash of an object-class name — the CB's shard
-/// key. Deliberately not std::hash: the value must be identical on every
-/// node of the cluster regardless of platform or libstdc++ version,
-/// because both ends of a discovery exchange derive the owning shard
-/// from it independently.
-std::uint32_t classNameHash(std::string_view name);
 
 /// Message discriminator, first byte of every CB datagram.
 enum class MsgType : std::uint8_t {
@@ -53,11 +45,6 @@ enum class MsgType : std::uint8_t {
 struct SubscriptionMsg {
   std::uint32_t subscriptionId = 0;  // unique within the issuing CB
   std::string className;
-  /// classNameHash(className), stamped by decode(). Derived, never
-  /// serialized — the wire is unchanged — but it lets the receiving CB
-  /// route a discovery message straight to the shard that owns the class
-  /// instead of scanning every table.
-  std::uint32_t classHash = 0;
 };
 
 /// Publisher's answer to a SUBSCRIPTION it can serve.
@@ -65,8 +52,6 @@ struct AcknowledgeMsg {
   std::uint32_t subscriptionId = 0;  // echoed from the SUBSCRIPTION
   std::uint32_t publicationId = 0;   // publisher-side table entry
   std::string className;
-  /// Derived shard key; see SubscriptionMsg::classHash.
-  std::uint32_t classHash = 0;
 };
 
 /// Subscriber asks the publisher to link its publication entry to the
@@ -78,8 +63,6 @@ struct ChannelConnectionMsg {
   std::string className;
   /// QoS the subscriber requests for this channel.
   net::QosClass qos = net::QosClass::kBestEffort;
-  /// Derived shard key; see SubscriptionMsg::classHash.
-  std::uint32_t classHash = 0;
 };
 
 /// Publisher confirms the channel (the paper's second ACKNOWLEDGE).

@@ -635,41 +635,7 @@ std::string HealthMonitor::renderTable() const {
 
   std::string out = borderWith(" CLUSTER HEALTH ");
   out += header;
-  std::size_t rowIdx = 0;
-  for (const auto& [name, st] : nodes_) {
-    const NodeHealth& h = st.health;
-    out += renderRow(rows[rowIdx++]);
-    // Shard-balance line: per-shard routing-table entries from the v3
-    // shard-load block, so a skewed class→shard hash shows up in the
-    // health table instead of only in tests. Single-shard nodes have
-    // nothing to balance.
-    if (h.last.shardLoad.size() > 1) {
-      std::string line = "|   shards ";
-      std::size_t total = 0, peak = 0, shown = 0;
-      for (const core::CbShardLoad& l : h.last.shardLoad) {
-        const std::size_t entries = l.publications + l.subscriptions +
-                                    l.inChannels + l.outChannels;
-        total += entries;
-        peak = std::max(peak, entries);
-        if (shown < 12) {
-          if (shown > 0) line += '/';
-          std::snprintf(buf, sizeof(buf), "%zu", entries);
-          line += buf;
-        } else if (shown == 12) {
-          line += "/..";
-        }
-        ++shown;
-      }
-      const double mean =
-          static_cast<double>(total) /
-          static_cast<double>(h.last.shardLoad.size());
-      std::snprintf(buf, sizeof(buf), "  (n=%zu, peak/mean %.2f)",
-                    h.last.shardLoad.size(),
-                    mean > 0.0 ? static_cast<double>(peak) / mean : 1.0);
-      line += buf;
-      out += padLine(std::move(line));
-    }
-  }
+  for (const auto& row : rows) out += renderRow(row);
   if (nodes_.empty()) out += padLine("| (no nodes heard from yet)");
   out += borderWith("");
   return out;

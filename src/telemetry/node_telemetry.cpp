@@ -240,13 +240,13 @@ bool decodePhases(net::WireReader& r, NodeTelemetry& t,
   return true;
 }
 
-// ---- v3 shard-load block -------------------------------------------------
+// ---- v3 table-load block -------------------------------------------------
 
-void encodeShardLoad(net::WireWriter& w, const NodeTelemetry& t) {
+void encodeTableLoad(net::WireWriter& w, const NodeTelemetry& t) {
   w.u16(static_cast<std::uint16_t>(
-      std::min<std::size_t>(t.shardLoad.size(), 0xFFFF)));
+      std::min<std::size_t>(t.tableLoad.size(), 0xFFFF)));
   std::size_t n = 0;
-  for (const core::CbShardLoad& l : t.shardLoad) {
+  for (const core::CbTableLoad& l : t.tableLoad) {
     if (n++ == 0xFFFF) break;
     w.u32(static_cast<std::uint32_t>(l.publications));
     w.u32(static_cast<std::uint32_t>(l.subscriptions));
@@ -255,18 +255,18 @@ void encodeShardLoad(net::WireWriter& w, const NodeTelemetry& t) {
   }
 }
 
-bool decodeShardLoad(net::WireReader& r, NodeTelemetry& t) {
+bool decodeTableLoad(net::WireReader& r, NodeTelemetry& t) {
   const auto count = r.u16();
   if (!count) return false;
-  t.shardLoad.clear();
-  t.shardLoad.reserve(*count);
+  t.tableLoad.clear();
+  t.tableLoad.reserve(*count);
   for (std::uint16_t i = 0; i < *count; ++i) {
     const auto pubs = r.u32();
     const auto subs = r.u32();
     const auto inCh = r.u32();
     const auto outCh = r.u32();
     if (!pubs || !subs || !inCh || !outCh) return false;
-    t.shardLoad.push_back(core::CbShardLoad{*pubs, *subs, *inCh, *outCh});
+    t.tableLoad.push_back(core::CbTableLoad{*pubs, *subs, *inCh, *outCh});
   }
   return true;
 }
@@ -350,7 +350,7 @@ std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t) {
     w.u64(counterValue(t, i));
   encodeChannels(w, t);
   encodeHistograms(w, t, nullptr);
-  encodeShardLoad(w, t);
+  encodeTableLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, nullptr);
   if (t.asyncNet) encodeEngine(w, t);
   return w.take();
@@ -372,7 +372,7 @@ std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
   }
   encodeChannels(w, t);
   encodeHistograms(w, t, &base);
-  encodeShardLoad(w, t);
+  encodeTableLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, &base);
   if (t.asyncNet) encodeEngine(w, t);
   return w.take();
@@ -471,7 +471,7 @@ std::optional<NodeTelemetry> decodeTelemetry(
 
   if (!decodeChannels(r, t)) return std::nullopt;
   if (!decodeHistograms(r, t, delta ? base : nullptr)) return std::nullopt;
-  if (!decodeShardLoad(r, t)) return std::nullopt;
+  if (!decodeTableLoad(r, t)) return std::nullopt;
   if (hasPhases) {
     t.phaseProfiling = true;
     if (!decodePhases(r, t, delta ? base : nullptr)) return std::nullopt;

@@ -42,12 +42,12 @@ namespace cod::telemetry {
 /// denominator of the real-socket loss estimate).
 /// v3: histogram block (delivery latency, tick duration, flush size,
 /// retransmit delay — sparse buckets, delta-encoded like the counters)
-/// and the per-shard load block appended after the channel list.
+/// and the table-load block appended after the channel list.
 /// v4: flow-control counters joined the table — cb.updatesThinned,
 /// reliable.{updatesBlocked, degradeSkipsSent, windowSplits,
 /// windowMerges, peerDuplicatesReported} and batch.adaptiveFlushes.
 /// v5: tick-phase profiler block (kTickPhaseCount sparse histograms,
-/// same encoding as the v3 block) appended after the shard-load block.
+/// same encoding as the v3 block) appended after the table-load block.
 /// A node with the profiler OFF (`Config::phaseProfile == false`, the
 /// default) still emits version 4 — byte-identical to a v4 peer — so v5
 /// is only on the wire when there is phase data to carry. Decoders
@@ -85,10 +85,10 @@ struct NodeTelemetry {
   /// (names from CbHistograms::name()). Monitors diff consecutive
   /// snapshots to derive interval percentiles.
   std::array<HistogramSnapshot, CbHistograms::kCount> hists{};
-  /// Per-shard routing-table sizes, for the shard-balance line in the
-  /// cluster-health table. Always encoded in full (it is tiny and its
-  /// shape — the shard count — must not be guessed from a diff).
-  std::vector<core::CbShardLoad> shardLoad;
+  /// Routing-table sizes (CommunicationBackbone::tableLoad). A node
+  /// sends one entry; the block's [u16 count] prefix still admits any
+  /// number, and the decoder keeps them all. Always encoded in full.
+  std::vector<core::CbTableLoad> tableLoad;
   /// True when this node runs the tick-phase profiler: `phases` is
   /// meaningful and the record encodes as wire v5. False encodes the
   /// exact v4 bytes (phase block absent), keeping profiler-off nodes

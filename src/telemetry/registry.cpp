@@ -13,9 +13,7 @@ NodeTelemetry StatRegistry::snapshot(double now) {
   t.channels = cb_->channelHealth();
   for (std::size_t i = 0; i < CbHistograms::kCount; ++i)
     t.hists[i] = cb_->histograms().at(i).snapshot();
-  t.shardLoad.reserve(cb_->shardCount());
-  for (std::size_t i = 0; i < cb_->shardCount(); ++i)
-    t.shardLoad.push_back(cb_->shardLoad(static_cast<std::uint32_t>(i)));
+  t.tableLoad = {cb_->tableLoad()};
   if (cb_->config().phaseProfile) {
     t.phaseProfiling = true;  // record encodes as wire v5 (v6 if async)
     for (std::size_t i = 0; i < kTickPhaseCount; ++i)

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace cod::core {
 namespace {
 
@@ -474,6 +476,35 @@ TEST_F(CbTest, MalformedDatagramsAreCountedAndIgnored) {
 
 TEST_F(CbTest, NullTransportRejected) {
   EXPECT_THROW(CommunicationBackbone("x", nullptr), std::invalid_argument);
+}
+
+/// tableLoad() counts exactly what the tables hold: one subscriber per
+/// class on the far node, so each side's channels equal its
+/// registrations.
+TEST_F(CbTest, TableLoadCountsRegistrationsAndChannels) {
+  auto& cbA = cluster.addComputer("a");
+  auto& cbB = cluster.addComputer("b");
+  std::vector<std::unique_ptr<Pub>> pubs;
+  std::vector<std::unique_ptr<Sub>> subs;
+  constexpr std::size_t kClasses = 32;
+  for (std::size_t k = 0; k < kClasses; ++k) {
+    const std::string cls = "load.c" + std::to_string(k);
+    pubs.push_back(std::make_unique<Pub>(cls));
+    pubs.back()->bind(cbA);
+    subs.push_back(std::make_unique<Sub>(cls));
+    subs.back()->bind(cbB);
+  }
+  cluster.step(2.0);
+  const CbTableLoad a = cbA.tableLoad();
+  EXPECT_EQ(a.publications, kClasses);
+  EXPECT_EQ(a.subscriptions, 0u);
+  EXPECT_EQ(a.outChannels, kClasses);
+  EXPECT_EQ(a.inChannels, 0u);
+  const CbTableLoad b = cbB.tableLoad();
+  EXPECT_EQ(b.publications, 0u);
+  EXPECT_EQ(b.subscriptions, kClasses);
+  EXPECT_EQ(b.outChannels, 0u);
+  EXPECT_EQ(b.inChannels, kClasses);
 }
 
 TEST_F(CbTest, DeterministicAcrossRuns) {

@@ -414,7 +414,7 @@ TEST_F(GovernorUnit, NeverThinsTowardItself) {
 // ---- the wire-identity guarantee ----------------------------------------
 
 /// Journal every outbound datagram so two runs compare byte-for-byte
-/// (the test_core_cb_shard.cpp idiom).
+/// (the test_core_cb_wire.cpp idiom).
 class TapTransport final : public net::Transport {
  public:
   TapTransport(std::unique_ptr<net::Transport> inner,

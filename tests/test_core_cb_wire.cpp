@@ -1,17 +1,22 @@
 // Wire-level tests of the CB fan-out fast path: an UPDATE/HEARTBEAT/BYE
 // frame is encoded once and re-targeted per channel by patching the 4-byte
 // channel id, so the bytes each subscriber receives must be identical to a
-// full per-channel re-encode.
+// full per-channel re-encode. Also pins a digest of the wire across every
+// CB timer path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/cb.hpp"
 #include "core/protocol.hpp"
+#include "net/simnet.hpp"
 #include "net/transport.hpp"
 
 namespace cod::core {
@@ -619,6 +624,225 @@ TEST_F(WireFixture, PinnedSlotSurvivesNeighbourChurn) {
     }
   }
   EXPECT_EQ(cb->peerSlotCount(), 2u);
+}
+
+// ---- the timer paths, pinned on the wire ---------------------------------
+
+/// Transport decorator that journals every outbound datagram (kind, dst,
+/// bytes) so a run can be digested datagram-for-datagram.
+class TapTransport final : public net::Transport {
+ public:
+  TapTransport(std::unique_ptr<net::Transport> inner,
+               std::vector<std::vector<std::uint8_t>>* log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  net::NodeAddr localAddress() const override {
+    return inner_->localAddress();
+  }
+  void send(const net::NodeAddr& dst,
+            std::span<const std::uint8_t> bytes) override {
+    journal(0, dst.host, dst.port, bytes);
+    inner_->send(dst, bytes);
+  }
+  void broadcast(std::uint16_t port,
+                 std::span<const std::uint8_t> bytes) override {
+    journal(1, 0, port, bytes);
+    inner_->broadcast(port, bytes);
+  }
+  std::optional<net::Datagram> receive() override { return inner_->receive(); }
+  const net::TransportStats* stats() const override { return inner_->stats(); }
+
+ private:
+  void journal(std::uint8_t kind, net::HostId host, std::uint16_t port,
+               std::span<const std::uint8_t> bytes) {
+    std::vector<std::uint8_t> entry{kind,
+                                    static_cast<std::uint8_t>(host & 0xFF),
+                                    static_cast<std::uint8_t>(port & 0xFF)};
+    entry.insert(entry.end(), bytes.begin(), bytes.end());
+    log_->push_back(std::move(entry));
+  }
+
+  std::unique_ptr<net::Transport> inner_;
+  std::vector<std::vector<std::uint8_t>>* log_;
+};
+
+/// 64-bit FNV-1a over a datagram journal; each entry is length-prefixed
+/// so entry boundaries count too.
+std::uint64_t journalDigest(const std::vector<std::vector<std::uint8_t>>& log) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 1099511628211ull;
+  };
+  for (const auto& entry : log) {
+    const auto n = static_cast<std::uint32_t>(entry.size());
+    for (int i = 0; i < 4; ++i) mix(static_cast<std::uint8_t>(n >> (8 * i)));
+    for (const std::uint8_t b : entry) mix(b);
+  }
+  return h;
+}
+
+/// Publisher LP of one class.
+class Pub : public LogicalProcess {
+ public:
+  explicit Pub(std::string cls,
+               net::QosClass qos = net::QosClass::kBestEffort)
+      : LogicalProcess("pub"), cls_(std::move(cls)), qos_(qos) {}
+  void bind(CommunicationBackbone& cb) {
+    cb.attach(*this);
+    handle_ = cb.publishObjectClass(*this, cls_, qos_);
+  }
+  void send(double value, double ts) {
+    AttributeSet a;
+    a.set("v", value);
+    backbone()->updateAttributeValues(handle_, a, ts);
+  }
+
+ private:
+  std::string cls_;
+  net::QosClass qos_;
+  PublicationHandle handle_ = kInvalidHandle;
+};
+
+/// Subscriber LP of one class; it ignores what it reflects.
+class Sub : public LogicalProcess {
+ public:
+  explicit Sub(std::string cls,
+               net::QosClass qos = net::QosClass::kBestEffort)
+      : LogicalProcess("sub"), cls_(std::move(cls)), qos_(qos) {}
+  void bind(CommunicationBackbone& cb) {
+    cb.attach(*this);
+    cb.subscribeObjectClass(*this, cls_, qos_);
+  }
+
+ private:
+  std::string cls_;
+  net::QosClass qos_;
+};
+
+struct TimerPathsRun {
+  std::vector<std::vector<std::uint8_t>> log;
+  CbStats stats;  // summed over every CB of every run
+};
+
+/// Three nodes on a lossy, jittery LAN, driven until every CB timer path
+/// has fired: reliable streams both ways plus a best-effort one, and a
+/// subscriber that asks for best effort on a reliable-floor publication
+/// (CHANNEL_ACK re-sends until its first WINDOW_ACK). Loss drives connect
+/// retries, NACKs, acks and tail retransmits. Two partitions follow:
+/// alpha-charlie for 2 s, shorter than channelTimeoutSec, so the tail
+/// sweep skips charlie's stalled channel (and, with the window split on,
+/// its window splits and later merges); then alpha-bravo for 4 s, longer
+/// than the timeout, so channels time out on both sides and rediscovery
+/// rebuilds them after the heal. Keep-alives run throughout. The reliable
+/// streams publish every 7th tick, a period that divides none of the
+/// protocol intervals, so a deadline the timers miss is not masked by
+/// the wake an update causes anyway. Appends to `run`.
+void runTimerPathsTapped(CommunicationBackbone::Config cfg,
+                         std::uint64_t seed, TimerPathsRun& run) {
+  net::SimNetwork net(seed);
+  net::LinkModel link = net.defaultLink();
+  link.lossRate = 0.2;
+  link.jitterSec = 0.002;
+  net.setDefaultLink(link);
+  const net::HostId ha = net.addHost("alpha");
+  const net::HostId hb = net.addHost("bravo");
+  const net::HostId hc = net.addHost("charlie");
+  cfg.reliable.splitLagFrames = 64;
+  CommunicationBackbone cbA(
+      "alpha", std::make_unique<TapTransport>(net.bind(ha, 1), &run.log), cfg);
+  CommunicationBackbone cbB(
+      "bravo", std::make_unique<TapTransport>(net.bind(hb, 1), &run.log), cfg);
+  CommunicationBackbone cbC(
+      "charlie", std::make_unique<TapTransport>(net.bind(hc, 1), &run.log),
+      cfg);
+
+  constexpr auto kReliable = net::QosClass::kReliableOrdered;
+  Pub aRel("mass.c0", kReliable), aBest("crane.state");
+  Pub bRel("mass.c1", kReliable);
+  aRel.bind(cbA);
+  aBest.bind(cbA);
+  bRel.bind(cbB);
+  Sub bOnARel("mass.c0", kReliable), cOnARel("mass.c0"), bOnABest("crane.state");
+  Sub aOnBRel("mass.c1", kReliable), cOnBRel("mass.c1", kReliable);
+  bOnARel.bind(cbB);
+  cOnARel.bind(cbC);
+  bOnABest.bind(cbB);
+  aOnBRel.bind(cbA);
+  cOnBRel.bind(cbC);
+
+  constexpr double kStep = 0.002;
+  for (int i = 1; i <= 6000; ++i) {  // 12 s
+    net.advance(kStep);
+    if (i == 1000) net.setPartitioned(ha, hc, true);   // 2 s
+    if (i == 2000) net.setPartitioned(ha, hc, false);  // 4 s
+    if (i == 2500) net.setPartitioned(ha, hb, true);   // 5 s
+    if (i == 4500) net.setPartitioned(ha, hb, false);  // 9 s
+    if (i % 7 == 0) {
+      aRel.send(i, net.now());
+      bRel.send(-i, net.now());
+    }
+    if (i % 20 == 0) aBest.send(0.5 * i, net.now());
+    cbA.tick(net.now());
+    cbB.tick(net.now());
+    cbC.tick(net.now());
+  }
+  for (const CommunicationBackbone* cb : {&cbA, &cbB, &cbC}) {
+    const CbStats& s = cb->stats();
+    run.stats.broadcastsSent += s.broadcastsSent;
+    run.stats.channelsTimedOut += s.channelsTimedOut;
+    run.stats.channelsEstablishedIn += s.channelsEstablishedIn;
+    run.stats.reliable.nacksSent += s.reliable.nacksSent;
+    run.stats.reliable.windowAcksSent += s.reliable.windowAcksSent;
+    run.stats.reliable.retransmitsSent += s.reliable.retransmitsSent;
+    run.stats.reliable.windowSplits += s.reliable.windowSplits;
+    run.stats.reliable.windowMerges += s.reliable.windowMerges;
+  }
+}
+
+/// The timer phase runs each entry's timer only when its deadline says
+/// something may be due. These digests were taken from the timer phase
+/// that visited every entry on every tick, so the deadline walk must put
+/// exactly the same bytes on the wire, in the same order. Each digest
+/// covers three network seeds: between them, a handler that failed to
+/// wake its entry (subscriber heartbeat, WINDOW_ACK, CHANNEL_ACK, first
+/// data on a channel, a new update) changes at least one of them. (The
+/// digest folds in IEEE-754 doubles from heartbeat and update stamps, so
+/// it assumes no FMA contraction — the x86-64 default.)
+TEST(WireDigest, TimerPathsWireDigestIsPinned) {
+  struct Case {
+    bool split;
+    bool batching;
+    std::size_t datagrams;
+    std::uint64_t digest;
+  };
+  for (const Case c : {Case{false, true, 15717, 11041363238732833539ull},
+                       Case{true, true, 15648, 677050216604120547ull},
+                       Case{false, false, 18890, 14946788691355040827ull}}) {
+    CommunicationBackbone::Config cfg;
+    cfg.reliable.perChannelWindowSplit = c.split;
+    cfg.batch.enabled = c.batching;
+    TimerPathsRun run;
+    for (const std::uint64_t seed : {11u, 12u, 20u})
+      runTimerPathsTapped(cfg, seed, run);
+    const std::string label = "split=" + std::to_string(c.split) +
+                              " batching=" + std::to_string(c.batching);
+    // Every timer path fired at least once.
+    EXPECT_GT(run.stats.broadcastsSent, 0u) << label;
+    EXPECT_GT(run.stats.reliable.nacksSent, 0u) << label;
+    EXPECT_GT(run.stats.reliable.windowAcksSent, 0u) << label;
+    EXPECT_GT(run.stats.reliable.retransmitsSent, 0u) << label;
+    EXPECT_GT(run.stats.channelsTimedOut, 0u) << label;
+    // Rediscovery rebuilt the timed-out channels: more establishments
+    // than the five subscriptions of each run need once.
+    EXPECT_GT(run.stats.channelsEstablishedIn, 15u) << label;
+    if (c.split) {
+      EXPECT_GT(run.stats.reliable.windowSplits, 0u) << label;
+      EXPECT_GT(run.stats.reliable.windowMerges, 0u) << label;
+    }
+    EXPECT_EQ(run.log.size(), c.datagrams) << label;
+    EXPECT_EQ(journalDigest(run.log), c.digest) << label;
+  }
 }
 
 }  // namespace

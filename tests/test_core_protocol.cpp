@@ -557,8 +557,8 @@ telemetry::NodeTelemetry sampleTelemetry() {
     s.buckets[3] = 20 + h;
     s.buckets[40 + h] = 30 + h;
   }
-  t.shardLoad.push_back(core::CbShardLoad{3, 4, 5, 6});
-  t.shardLoad.push_back(core::CbShardLoad{1, 0, 2, 0});
+  t.tableLoad.push_back(core::CbTableLoad{3, 4, 5, 6});
+  t.tableLoad.push_back(core::CbTableLoad{1, 0, 2, 0});
   return t;
 }
 
@@ -585,12 +585,12 @@ void expectTelemetryEq(const telemetry::NodeTelemetry& a,
   }
   for (std::size_t i = 0; i < telemetry::CbHistograms::kCount; ++i)
     EXPECT_EQ(a.hists[i], b.hists[i]) << telemetry::CbHistograms::name(i);
-  ASSERT_EQ(a.shardLoad.size(), b.shardLoad.size());
-  for (std::size_t i = 0; i < a.shardLoad.size(); ++i) {
-    EXPECT_EQ(a.shardLoad[i].publications, b.shardLoad[i].publications);
-    EXPECT_EQ(a.shardLoad[i].subscriptions, b.shardLoad[i].subscriptions);
-    EXPECT_EQ(a.shardLoad[i].inChannels, b.shardLoad[i].inChannels);
-    EXPECT_EQ(a.shardLoad[i].outChannels, b.shardLoad[i].outChannels);
+  ASSERT_EQ(a.tableLoad.size(), b.tableLoad.size());
+  for (std::size_t i = 0; i < a.tableLoad.size(); ++i) {
+    EXPECT_EQ(a.tableLoad[i].publications, b.tableLoad[i].publications);
+    EXPECT_EQ(a.tableLoad[i].subscriptions, b.tableLoad[i].subscriptions);
+    EXPECT_EQ(a.tableLoad[i].inChannels, b.tableLoad[i].inChannels);
+    EXPECT_EQ(a.tableLoad[i].outChannels, b.tableLoad[i].outChannels);
   }
 }
 
@@ -621,7 +621,7 @@ TEST(TelemetryWire, DeltaRoundTripsAgainstKeyframe) {
   next.hists[0].count += 4;
   next.hists[0].sum += 0.25;
   next.hists[0].buckets[3] += 4;
-  next.shardLoad[1].inChannels = 9;
+  next.tableLoad[1].inChannels = 9;
   const auto bytes = telemetry::encodeTelemetryDelta(next, base);
   // Deltas only carry changed counters: much smaller than a keyframe.
   EXPECT_LT(bytes.size(), telemetry::encodeTelemetry(next).size() / 2);

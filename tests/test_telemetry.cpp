@@ -593,28 +593,6 @@ TEST_F(MonitorUnit, LatencySpikeAlarmFromHistogramDeltas) {
   EXPECT_NE(table.find("p99ms"), std::string::npos);
 }
 
-TEST_F(MonitorUnit, ShardBalanceLineRendersFromShardLoad) {
-  NodeTelemetry t1 = record(1, 0.0);
-  t1.shardLoad.push_back(core::CbShardLoad{8, 2, 3, 1});   // 14 entries
-  t1.shardLoad.push_back(core::CbShardLoad{1, 1, 0, 0});   // 2 entries
-  feed(t1);
-  const std::string table = monitor.renderTable();
-  EXPECT_NE(table.find("shards"), std::string::npos);
-  EXPECT_NE(table.find("n=2"), std::string::npos);
-  // Peak/mean of (14, 2) entry totals = 14/8 = 1.75.
-  EXPECT_NE(table.find("1.75"), std::string::npos);
-  // A single-shard node renders no balance line ("zz-solo" sorts after
-  // "unit", so any "shards" text past its row would be its own).
-  NodeTelemetry u1 = record(1, 0.0);
-  u1.node = "zz-solo";
-  u1.addr = {2, 1};
-  u1.shardLoad.push_back(core::CbShardLoad{4, 4, 4, 4});
-  monitor.reflectAttributeValues(kTelemetryClass, wrap(encodeTelemetry(u1)),
-                                 0.0);
-  const std::string t2 = monitor.renderTable();
-  EXPECT_EQ(t2.find("shards", t2.find("zz-solo")), std::string::npos);
-}
-
 TEST_F(MonitorUnit, SilentNodeRestartingStillEmitsRecovered) {
   feed(record(5, 0.0));
   monitor.step(10.0);  // default 3×1 s staleness: node goes silent

@@ -484,7 +484,7 @@ class Driver {
     for (const char* key :
          {"dup", "reorder", "delay-ms", "jitter-ms", "seed", "probe-hz",
           "quiesce", "telemetry-interval", "silent-after", "channel-timeout",
-          "heartbeat", "ack-interval", "shards", "mass-hz",
+          "heartbeat", "ack-interval", "mass-hz",
           "keyframe-interval", "bind-ip", "host-ips", "trace-sample", "flow",
           "send-window-bytes", "tick-flush-bytes", "split-lag-frames",
           "phase-profile", "async-net"}) {

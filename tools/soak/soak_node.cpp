@@ -18,9 +18,6 @@
 //     from reliable-layer counters because real sockets cannot attribute
 //     drops.
 //
-// --shards sets CommunicationBackbone::Config::shards, so the soak drives
-// the sharded routing core exactly as a production rack would.
-//
 // The node ticks on the wall clock until --duration, stops publishing
 // probes --quiesce seconds early (so retransmits can drain), then writes
 // its report (soak_common.hpp grammar) and exits 0. The driver owns all
@@ -154,9 +151,7 @@ class ProbeLp final : public core::LogicalProcess {
 /// k%N and (k+1)%N, two publishers per class — all reliable, so a C-class
 /// N-node rack opens C*2*(N-1) network channels plus local fast-path
 /// links. Per class it records reflections and the set of distinct source
-/// nodes, for the driver's every-channel-delivers verdict. The class
-/// names share prefixes and spread across the CB's routing shards by
-/// classNameHash, so this is also the sharded core's torture test.
+/// nodes, for the every-channel-delivers verdict.
 class MassLp final : public core::LogicalProcess {
  public:
   MassLp(std::uint32_t classes, std::uint32_t nodes, std::uint32_t index,
@@ -297,7 +292,6 @@ int run(int argc, char** argv) {
   // spurious retransmits of already-delivered frames would bias the
   // reliable-layer loss estimate upward.
   cbCfg.reliable.ackIntervalSec = args.num("ack-interval", 0.05);
-  cbCfg.shards = static_cast<std::uint32_t>(args.integer("shards", 1));
   // --phase-profile arms the tick-phase profiler: per-phase duration
   // histograms and telemetry wire v5 (peers stay v4-compatible; the
   // encoder only emits the phase block when this is on).
