@@ -83,15 +83,10 @@ fi
 # gate overhead, per-overflow-policy costs, split-window fan-out and the
 # best-effort thinning fast path) and the flight-data archive numbers
 # (bench_archive exits non-zero past its 1% append-share budget, and
-# prices the cod_inspect replay path) and the async-engine numbers
-# (bench_async: mmsg-vs-single-syscall datagrams/s and the sync-vs-async
-# 16-peer mesh p99 tick latency, gated by COD_BENCH_ASYNC_STRICT tier).
+# prices the cod_inspect replay path).
 # Warn (stderr) if any was not produced — e.g. Google Benchmark missing,
 # so the gbench binaries were never built. Not fatal: the scenario-bench
-# .log baselines above are still valid without them. BENCH_async.json
-# comes from a self-driving bench (no Google Benchmark needed), so its
-# absence means bench_async itself did not run or print its summary —
-# that one is fatal.
+# .log baselines above are still valid without them.
 for required in BENCH_reliable.json BENCH_batching.json BENCH_telemetry.json \
                 BENCH_cb_routing.json BENCH_trace.json BENCH_flow.json \
                 BENCH_archive.json; do
@@ -102,11 +97,6 @@ for required in BENCH_reliable.json BENCH_batching.json BENCH_telemetry.json \
     echo "         (is Google Benchmark installed?)" >&2
   fi
 done
-if [[ ! -s "${OUT_DIR}/BENCH_async.json" ]]; then
-  echo "error: BENCH_async.json missing — bench_async did not emit its" >&2
-  echo "       COD_BENCH_SUMMARY line" >&2
-  failed=1
-fi
 
 echo
 echo "== bench summary ======================"

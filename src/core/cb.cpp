@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "net/engine.hpp"
-
 namespace cod::core {
 
 namespace {
@@ -33,19 +31,6 @@ CommunicationBackbone::CommunicationBackbone(
     : name_(std::move(name)), transport_(std::move(transport)), cfg_(cfg) {
   if (!transport_)
     throw std::invalid_argument("CommunicationBackbone: null transport");
-  if (cfg_.asyncNet) {
-    // Interpose the async engine between the CB and whatever transport
-    // the caller handed us: recv/send move to dedicated threads, the
-    // tick thread talks to lock-free rings. Everything below (stageSend,
-    // flushSlot) is oblivious — it just calls Transport as before.
-    net::AsyncNetConfig acfg;
-    acfg.trace = cfg_.trace;
-    acfg.laneName = name_;
-    auto eng =
-        std::make_unique<net::AsyncTransport>(std::move(transport_), acfg);
-    asyncEngine_ = eng.get();
-    transport_ = std::move(eng);
-  }
   if (cfg_.trace != nullptr) traceLane_ = cfg_.trace->registerLane(name_);
 }
 

@@ -51,10 +51,6 @@
 #include "telemetry/hist.hpp"
 #include "telemetry/trace.hpp"
 
-namespace cod::net {
-class AsyncTransport;
-}  // namespace cod::net
-
 namespace cod::core {
 
 class CommunicationBackbone;
@@ -228,15 +224,6 @@ class CommunicationBackbone {
     /// reads — and keeps the telemetry record on the v4 layout,
     /// byte-identical to an unprofiled build.
     bool phaseProfile = false;
-    /// Async threaded network engine (net/engine.hpp): wrap the transport
-    /// in an AsyncTransport so socket recv/send run on dedicated threads
-    /// with lock-free rings to/from the tick thread, and syscalls batch
-    /// (recvmmsg/sendmmsg on UDP). Off (the default) keeps the seed's
-    /// single-threaded transport path, byte-identical on the wire; on,
-    /// datagram CONTENT is identical but ordering across peers can
-    /// interleave with tick boundaries. Engine health counters ship as
-    /// telemetry wire v6.
-    bool asyncNet = false;
   };
 
   /// `transport` is this computer's socket; by convention every CB of a
@@ -678,13 +665,6 @@ class CommunicationBackbone {
   std::size_t stagedFrameCount_ = 0;
   /// Reusable span list for scatter-gather flushes.
   std::vector<net::ByteSpan> iovScratch_;
-  /// The async engine when Config::asyncNet (owned via transport_; this
-  /// is a borrowed view for engine-stat snapshots). Null when sync.
-  net::AsyncTransport* asyncEngine_ = nullptr;
-
- public:
-  /// Engine view for telemetry (null unless Config::asyncNet).
-  net::AsyncTransport* asyncEngine() const { return asyncEngine_; }
 };
 
 }  // namespace cod::core

@@ -99,12 +99,7 @@ class ImpairedTransport final : public Transport {
   /// its own here (see ImpairmentStats).
   const TransportStats* stats() const override { return inner_->stats(); }
 
-  /// Forwarded so the async engine's recv thread can park on the real
-  /// socket underneath the impairment layer.
-  int pollableFd() const override { return inner_->pollableFd(); }
-
-  /// Snapshot by value: the engine threads mutate these under mu_ while
-  /// the tick thread reads them.
+  /// Snapshot by value, taken under mu_.
   ImpairmentStats impairmentStats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
@@ -160,9 +155,8 @@ class ImpairedTransport final : public Transport {
   Clock clock_;
   /// Serializes the whole decorator — release queues, the shared Rng,
   /// and (because calls into inner_ happen under it) the inner socket's
-  /// stats counters. The async engine's recv and send threads both go
-  /// through this transport concurrently; without the lock the seeded
-  /// impairment model would be racy and nondeterministic.
+  /// stats counters — so concurrent callers cannot race the seeded
+  /// impairment model into nondeterminism.
   mutable std::mutex mu_;
   math::Rng rng_;
   ImpairmentStats stats_;

@@ -16,9 +16,8 @@ std::uint32_t framesInDatagram(std::span<const std::uint8_t> bytes) {
 
 void Transport::sendv(const NodeAddr& dst, std::span<const ByteSpan> parts) {
   // Gather fallback: linearize into a reused scratch and take the plain
-  // path. thread_local because the async engine may call this from its
-  // send thread while a second (synchronous) transport sends from the
-  // tick thread.
+  // path. thread_local so CBs ticked from different threads never share
+  // the scratch.
   thread_local std::vector<std::uint8_t> scratch;
   scratch.clear();
   std::size_t total = 0;
@@ -27,20 +26,6 @@ void Transport::sendv(const NodeAddr& dst, std::span<const ByteSpan> parts) {
   for (const ByteSpan p : parts)
     scratch.insert(scratch.end(), p.begin(), p.end());
   send(dst, scratch);
-}
-
-void Transport::sendMany(std::span<const OutDatagram> dgrams) {
-  for (const OutDatagram& d : dgrams) send(d.dst, d.bytes);
-}
-
-std::size_t Transport::receiveBatch(std::span<Datagram> out) {
-  std::size_t n = 0;
-  while (n < out.size()) {
-    auto d = receive();
-    if (!d) break;
-    out[n++] = std::move(*d);
-  }
-  return n;
 }
 
 }  // namespace cod::net

@@ -67,14 +67,6 @@ std::uint32_t framesInDatagram(std::span<const std::uint8_t> bytes);
 /// One scatter-gather fragment of an outbound datagram (iovec-shaped).
 using ByteSpan = std::span<const std::uint8_t>;
 
-/// One datagram of a sendMany() burst. `bytes` must stay valid for the
-/// duration of the call only — implementations either copy or hand the
-/// span straight to the kernel before returning.
-struct OutDatagram {
-  NodeAddr dst;
-  ByteSpan bytes;
-};
-
 /// Unreliable datagram transport endpoint (one "socket").
 ///
 /// All operations are non-blocking; `receive` polls the inbound queue.
@@ -107,20 +99,9 @@ class Transport {
   /// (UdpTransport, via sendmsg) override it.
   virtual void sendv(const NodeAddr& dst, std::span<const ByteSpan> parts);
 
-  /// Batched send: one call, many datagrams. The default loops send();
-  /// UdpTransport overrides with one sendmmsg syscall per burst — the
-  /// async engine's send thread drains its ring through this.
-  virtual void sendMany(std::span<const OutDatagram> dgrams);
-
-  /// Batched receive: fill up to out.size() datagrams, return how many.
-  /// The default polls receive() in a loop; UdpTransport overrides with
-  /// one recvmmsg syscall per burst (identical delivery order — pinned by
-  /// an equivalence test). Never blocks.
-  virtual std::size_t receiveBatch(std::span<Datagram> out);
-
-  /// A poll(2)-able readiness fd for the receive side, or -1 when the
-  /// transport has none (simulated/in-memory transports). The async
-  /// engine's recv thread parks on this instead of spinning.
+  /// The OS socket this transport owns, or -1 when it owns none
+  /// (simulated/in-memory transports, decorators). Lets a caller tune
+  /// socket options, e.g. SO_RCVBUF, through this interface.
   virtual int pollableFd() const { return -1; }
 
   /// Per-endpoint traffic counters, null if this transport keeps none.

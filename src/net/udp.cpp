@@ -200,105 +200,6 @@ void UdpTransport::sendv(const NodeAddr& dst,
   }
 }
 
-bool UdpTransport::mmsgActive() const {
-#ifdef __linux__
-  return useMmsg_;
-#else
-  return false;
-#endif
-}
-
-void UdpTransport::sendMany(std::span<const OutDatagram> dgrams) {
-#ifdef __linux__
-  if (useMmsg_) {
-    std::size_t done = 0;
-    while (done < dgrams.size()) {
-      const std::size_t n = std::min(kMmsgBurst, dgrams.size() - done);
-      mmsghdr msgs[kMmsgBurst];
-      iovec iov[kMmsgBurst];
-      sockaddr_in sas[kMmsgBurst];
-      std::memset(msgs, 0, n * sizeof(mmsghdr));
-      for (std::size_t i = 0; i < n; ++i) {
-        const OutDatagram& d = dgrams[done + i];
-        iov[i].iov_base = const_cast<std::uint8_t*>(d.bytes.data());
-        iov[i].iov_len = d.bytes.size();
-        toSockaddr(d.dst, &sas[i]);
-        msgs[i].msg_hdr.msg_name = &sas[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(sas[i]);
-        msgs[i].msg_hdr.msg_iov = &iov[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      const int sent =
-          ::sendmmsg(fd_, msgs, static_cast<unsigned int>(n), 0);
-      if (sent <= 0) {
-        // First pending datagram failed (ENOBUFS and kin): count it
-        // dropped — datagrams are independent, exactly as in send() —
-        // and keep going with the rest of the burst.
-        ++stats_.packetsDropped;
-        ++done;
-        continue;
-      }
-      for (int i = 0; i < sent; ++i) {
-        const OutDatagram& d = dgrams[done + i];
-        countSent(d.bytes.size(), framesInDatagram(d.bytes));
-      }
-      done += static_cast<std::size_t>(sent);
-      if (static_cast<std::size_t>(sent) < n) {
-        // sendmmsg stopped early: the next datagram errored. Skip it like
-        // send() would and resume behind it.
-        ++stats_.packetsDropped;
-        ++done;
-      }
-    }
-    return;
-  }
-#endif
-  Transport::sendMany(dgrams);
-}
-
-std::size_t UdpTransport::receiveBatch(std::span<Datagram> out) {
-#ifdef __linux__
-  if (useMmsg_) {
-    constexpr std::size_t kBufBytes = 65536;
-    if (recvBufs_.empty()) recvBufs_.resize(kMmsgBurst * kBufBytes);
-    std::size_t total = 0;
-    while (total < out.size()) {
-      const std::size_t n = std::min(kMmsgBurst, out.size() - total);
-      mmsghdr msgs[kMmsgBurst];
-      iovec iov[kMmsgBurst];
-      sockaddr_in froms[kMmsgBurst];
-      std::memset(msgs, 0, n * sizeof(mmsghdr));
-      for (std::size_t i = 0; i < n; ++i) {
-        iov[i].iov_base = recvBufs_.data() + i * kBufBytes;
-        iov[i].iov_len = kBufBytes;
-        msgs[i].msg_hdr.msg_name = &froms[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
-        msgs[i].msg_hdr.msg_iov = &iov[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-      }
-      const int got =
-          ::recvmmsg(fd_, msgs, static_cast<unsigned int>(n), 0, nullptr);
-      if (got <= 0) break;  // EWOULDBLOCK: burst drained the socket
-      for (int i = 0; i < got; ++i) {
-        const auto src = addrForUdpPort(ntohs(froms[i].sin_port));
-        if (!src) continue;  // outside our address plan, as in receive()
-        Datagram& d = out[total++];
-        d.src = *src;
-        d.dst = addr_;
-        const std::uint8_t* base = recvBufs_.data() + i * kBufBytes;
-        d.payload.assign(base, base + msgs[i].msg_len);
-        ++stats_.packetsReceived;
-        stats_.bytesReceived += d.payload.size();
-        stats_.framesReceived += framesInDatagram(d.payload);
-      }
-      if (static_cast<std::size_t>(got) < n) break;  // socket drained
-    }
-    return total;
-  }
-#endif
-  return Transport::receiveBatch(out);
-}
-
 void UdpTransport::broadcast(std::uint16_t port,
                              std::span<const std::uint8_t> bytes) {
   // Emulated LAN broadcast: unicast to the same CB port on every host slot.
@@ -311,21 +212,26 @@ void UdpTransport::broadcast(std::uint16_t port,
 
 std::optional<Datagram> UdpTransport::receive() {
   std::uint8_t buf[65536];
-  sockaddr_in from{};
-  socklen_t fromLen = sizeof(from);
-  const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
-                               reinterpret_cast<sockaddr*>(&from), &fromLen);
-  if (n < 0) return std::nullopt;  // EWOULDBLOCK or transient error: no data
-  const auto src = addrForUdpPort(ntohs(from.sin_port));
-  if (!src) return std::nullopt;  // datagram from outside our address plan
-  Datagram d;
-  d.src = *src;
-  d.dst = addr_;
-  d.payload.assign(buf, buf + n);
-  ++stats_.packetsReceived;
-  stats_.bytesReceived += d.payload.size();
-  stats_.framesReceived += framesInDatagram(d.payload);
-  return d;
+  for (;;) {
+    sockaddr_in from{};
+    socklen_t fromLen = sizeof(from);
+    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                                 reinterpret_cast<sockaddr*>(&from), &fromLen);
+    if (n < 0) return std::nullopt;  // EWOULDBLOCK or transient error: no data
+    // A datagram from outside our address plan is discarded, not reported
+    // as "no data": the caller drains until nullopt, so returning here
+    // would strand every datagram queued behind it until the next drain.
+    const auto src = addrForUdpPort(ntohs(from.sin_port));
+    if (!src) continue;
+    Datagram d;
+    d.src = *src;
+    d.dst = addr_;
+    d.payload.assign(buf, buf + n);
+    ++stats_.packetsReceived;
+    stats_.bytesReceived += d.payload.size();
+    stats_.framesReceived += framesInDatagram(d.payload);
+    return d;
+  }
 }
 
 }  // namespace cod::net

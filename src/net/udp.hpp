@@ -59,30 +59,13 @@ class UdpTransport final : public Transport {
   /// batch flush's container header and staged frame spans go to the
   /// kernel without being linearized first.
   void sendv(const NodeAddr& dst, std::span<const ByteSpan> parts) override;
-  /// One sendmmsg(2) syscall per burst of up to kMmsgBurst datagrams
-  /// (plain send() loop when mmsg is unavailable or disabled).
-  void sendMany(std::span<const OutDatagram> dgrams) override;
-  /// One recvmmsg(2) syscall per burst (single-recv loop fallback).
-  /// Delivery order is identical either way — pinned by the mmsg
-  /// equivalence test in tests/test_net_engine.cpp.
-  std::size_t receiveBatch(std::span<Datagram> out) override;
   int pollableFd() const override { return fd_; }
 
   const TransportStats* stats() const override { return &stats_; }
 
-  /// Runtime switch for the recvmmsg/sendmmsg fast paths (default on
-  /// where the platform has them). Off forces the portable
-  /// one-syscall-per-datagram paths; the equivalence test runs both and
-  /// requires identical frame sequences.
-  void useMmsgSyscalls(bool on) { useMmsg_ = on; }
-  bool mmsgActive() const;
-
   /// The UDP port this socket is actually bound to, read back from the
   /// kernel (getsockname) rather than recomputed from the address plan.
   std::uint16_t boundUdpPort() const;
-
-  /// Datagrams per mmsg syscall burst.
-  static constexpr std::size_t kMmsgBurst = 32;
 
  private:
   std::uint16_t udpPortFor(const NodeAddr& a) const;
@@ -94,11 +77,7 @@ class UdpTransport final : public Transport {
   UdpConfig cfg_;
   NodeAddr addr_;
   int fd_ = -1;
-  bool useMmsg_ = true;
   TransportStats stats_;
-  /// recvmmsg burst buffers, kMmsgBurst x 64 KiB, allocated on first
-  /// receiveBatch() so synchronous-only users never pay for them.
-  std::vector<std::uint8_t> recvBufs_;
 };
 
 }  // namespace cod::net

@@ -87,10 +87,6 @@ constexpr std::array kCounterFields{
 #undef COD_COUNTER
 
 constexpr std::uint8_t kFlagDelta = 0x01;
-/// v6 only: the tick-phase block is present. In v4/v5 phase presence is
-/// implied by the version byte; v6 (async engine on) must carry either
-/// combination of engine + phases, so phases became a flag there.
-constexpr std::uint8_t kFlagPhases = 0x02;
 
 /// Channel flags byte: direction, QoS and liveness packed together.
 constexpr std::uint8_t kChanOutbound = 0x01;
@@ -101,15 +97,9 @@ void encodeHeader(net::WireWriter& w, const NodeTelemetry& t,
                   std::uint8_t flags) {
   // The phase-profiler block is the only v4 -> v5 delta, so a record
   // without phase data IS a v4 record — byte-identical to what a v4
-  // encoder emits. An async-engine node emits v6 (engine block at the
-  // end, phase block flagged). Mixed clusters interop as long as
-  // profiling/async nodes' monitors are current.
-  if (t.asyncNet) {
-    w.u8(kTelemetryVersionAsync);
-    if (t.phaseProfiling) flags |= kFlagPhases;
-  } else {
-    w.u8(t.phaseProfiling ? kTelemetryVersion : kTelemetryVersionPhaseless);
-  }
+  // encoder emits. Mixed clusters interop as long as profiling nodes'
+  // monitors are current.
+  w.u8(t.phaseProfiling ? kTelemetryVersion : kTelemetryVersionPhaseless);
   w.u8(flags);
   w.u64(t.seq);
   w.str(t.node);
@@ -271,29 +261,6 @@ bool decodeTableLoad(net::WireReader& r, NodeTelemetry& t) {
   return true;
 }
 
-// ---- v6 async-engine block -----------------------------------------------
-//
-// [u16 count][u64 x count] in net::engineCounterName order, always in
-// full — nine words is cheaper than delta bookkeeping. Present iff the
-// version byte is 6, always at the very end of the record.
-
-void encodeEngine(net::WireWriter& w, const NodeTelemetry& t) {
-  w.u16(static_cast<std::uint16_t>(net::kEngineCounterCount));
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i) w.u64(t.engine[i]);
-}
-
-bool decodeEngine(net::WireReader& r, NodeTelemetry& t) {
-  const auto count = r.u16();
-  // v6 defines the engine counter set exactly, like the counter table.
-  if (!count || *count != net::kEngineCounterCount) return false;
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i) {
-    const auto v = r.u64();
-    if (!v) return false;
-    t.engine[i] = *v;
-  }
-  return true;
-}
-
 bool decodeChannels(net::WireReader& r, NodeTelemetry& t) {
   const auto count = r.u16();
   if (!count) return false;
@@ -352,7 +319,6 @@ std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t) {
   encodeHistograms(w, t, nullptr);
   encodeTableLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, nullptr);
-  if (t.asyncNet) encodeEngine(w, t);
   return w.take();
 }
 
@@ -374,7 +340,6 @@ std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
   encodeHistograms(w, t, &base);
   encodeTableLoad(w, t);
   if (t.phaseProfiling) encodePhases(w, t, &base);
-  if (t.asyncNet) encodeEngine(w, t);
   return w.take();
 }
 
@@ -384,14 +349,9 @@ std::optional<TelemetryHeader> peekTelemetryHeader(
   const auto version = r.u8();
   const auto flags = r.u8();
   if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion &&
-      *version != kTelemetryVersionPhaseless &&
-      *version != kTelemetryVersionAsync)
+  if (*version != kTelemetryVersion && *version != kTelemetryVersionPhaseless)
     return std::nullopt;
-  const std::uint8_t known = *version == kTelemetryVersionAsync
-                                 ? (kFlagDelta | kFlagPhases)
-                                 : kFlagDelta;
-  if ((*flags & ~known) != 0) return std::nullopt;
+  if ((*flags & ~kFlagDelta) != 0) return std::nullopt;
   const auto seq = r.u64();
   auto node = r.str();
   const auto host = r.u32();
@@ -417,16 +377,11 @@ std::optional<NodeTelemetry> decodeTelemetry(
   const auto version = r.u8();
   const auto flags = r.u8();
   if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion &&
-      *version != kTelemetryVersionPhaseless &&
-      *version != kTelemetryVersionAsync)
+  if (*version != kTelemetryVersion && *version != kTelemetryVersionPhaseless)
     return std::nullopt;
-  const bool async = *version == kTelemetryVersionAsync;
-  if ((*flags & ~(async ? (kFlagDelta | kFlagPhases) : kFlagDelta)) != 0)
-    return std::nullopt;
+  if ((*flags & ~kFlagDelta) != 0) return std::nullopt;
   const bool delta = (*flags & kFlagDelta) != 0;
-  const bool hasPhases = async ? (*flags & kFlagPhases) != 0
-                               : *version == kTelemetryVersion;
+  const bool hasPhases = *version == kTelemetryVersion;
 
   NodeTelemetry t;
   const auto seq = r.u64();
@@ -475,10 +430,6 @@ std::optional<NodeTelemetry> decodeTelemetry(
   if (hasPhases) {
     t.phaseProfiling = true;
     if (!decodePhases(r, t, delta ? base : nullptr)) return std::nullopt;
-  }
-  if (async) {
-    t.asyncNet = true;
-    if (!decodeEngine(r, t)) return std::nullopt;
   }
   // Trailing bytes mean corruption (or a newer, larger format lying about
   // its version): reject wholesale.

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/cb.hpp"
-#include "net/engine.hpp"
 #include "net/transport.hpp"
 #include "telemetry/hist.hpp"
 
@@ -52,18 +51,11 @@ namespace cod::telemetry {
 /// default) still emits version 4 — byte-identical to a v4 peer — so v5
 /// is only on the wire when there is phase data to carry. Decoders
 /// accept both.
-/// v6: async-engine block (net/engine.hpp ring/syscall counters,
-/// [u16 count][u64 x count], always in full) appended at the very end.
-/// Emitted only by nodes running `Config::asyncNet`; since such a node
-/// may or may not also profile phases, v6 is the one layout whose phase
-/// block is flagged (kFlagPhases) rather than implied by the version
-/// byte. Sync nodes keep emitting v4/v5 exactly as before.
+/// v6: retired. Decoders reject it, and the number is never reused.
 inline constexpr std::uint8_t kTelemetryVersion = 5;
 /// The version emitted (and still accepted) when the phase profiler is
 /// off: the v4 layout, unchanged.
 inline constexpr std::uint8_t kTelemetryVersionPhaseless = 4;
-/// The version emitted when the async network engine is on (see above).
-inline constexpr std::uint8_t kTelemetryVersionAsync = 6;
 
 /// Reserved object class the publishers publish on and monitors subscribe
 /// to — "cod." prefixed so no simulator module class can collide.
@@ -97,12 +89,6 @@ struct NodeTelemetry {
   /// Cumulative per-phase tick histograms, indexed like
   /// TickPhaseHistograms::at(). All-zero unless `phaseProfiling`.
   std::array<HistogramSnapshot, kTickPhaseCount> phases{};
-  /// True when this node runs the async network engine: `engine` is
-  /// meaningful and the record encodes as wire v6 (phase block flagged).
-  bool asyncNet = false;
-  /// Engine ring/syscall counters in net::engineCounterName order.
-  /// All-zero unless `asyncNet`.
-  std::array<std::uint64_t, net::kEngineCounterCount> engine{};
 };
 
 /// The flattened counter table: every std::uint64_t in CbStats (with its

@@ -15,15 +15,9 @@ NodeTelemetry StatRegistry::snapshot(double now) {
     t.hists[i] = cb_->histograms().at(i).snapshot();
   t.tableLoad = {cb_->tableLoad()};
   if (cb_->config().phaseProfile) {
-    t.phaseProfiling = true;  // record encodes as wire v5 (v6 if async)
+    t.phaseProfiling = true;  // record encodes as wire v5
     for (std::size_t i = 0; i < kTickPhaseCount; ++i)
       t.phases[i] = cb_->phaseHistograms().at(i).snapshot();
-  }
-  if (const net::AsyncTransport* eng = cb_->asyncEngine()) {
-    t.asyncNet = true;  // record encodes as wire v6
-    const net::AsyncEngineStats es = eng->engineStats();
-    for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-      t.engine[i] = net::engineCounterValue(es, i);
   }
   return t;
 }

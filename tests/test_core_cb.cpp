@@ -251,6 +251,38 @@ TEST_F(CbTest, UnpublishNotifiesSubscriber) {
   EXPECT_EQ(cbB.sourceCount(sub.handle), 0u);
 }
 
+TEST(CbShutdown, DestructorSendsFramesStagedSinceLastTick) {
+  // ~CommunicationBackbone flushes what was staged after the last tick:
+  // an update published right before shutdown still reaches its
+  // subscriber. (An unpublish would prove nothing here: it flushes its
+  // BYEs at once.)
+  net::SimNetwork net;
+  const net::HostId ha = net.addHost("a");
+  const net::HostId hb = net.addHost("b");
+  auto cbA = std::make_unique<CommunicationBackbone>("a", net.bind(ha, 1));
+  CommunicationBackbone cbB("b", net.bind(hb, 1));
+  Pub pub("farewell");
+  pub.bind(*cbA);
+  Sub sub("farewell");
+  sub.bind(cbB);
+  for (int i = 0; i < 400 && !cbB.connected(sub.handle); ++i) {
+    net.advance(0.005);
+    cbA->tick(net.now());
+    cbB.tick(net.now());
+  }
+  ASSERT_TRUE(cbB.connected(sub.handle));
+
+  const std::uint64_t sentBefore = cbA->transportStats()->packetsSent;
+  pub.send(42.0, net.now());
+  ASSERT_EQ(cbA->transportStats()->packetsSent, sentBefore)
+      << "the update left before the tick, so this test proves nothing";
+  cbA.reset();  // no tick between the update and the destructor
+  net.advance(0.1);
+  cbB.tick(net.now());
+  ASSERT_EQ(sub.values.size(), 1u);
+  EXPECT_DOUBLE_EQ(sub.values[0], 42.0);
+}
+
 TEST_F(CbTest, DetachResignsAllRegistrations) {
   auto& cbA = cluster.addComputer("a");
   auto& cbB = cluster.addComputer("b");

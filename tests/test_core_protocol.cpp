@@ -904,171 +904,28 @@ TEST(TelemetryWire, PhaseSetSizeMismatchRejected) {
   EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
 }
 
-// ---- Wire v6: the async-engine block ------------------------------------
-
-// sampleTelemetry() with the async engine on and distinct nonzero values
-// in every engine counter.
-telemetry::NodeTelemetry sampleAsyncTelemetry() {
-  auto t = sampleTelemetry();
-  t.asyncNet = true;
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-    t.engine[i] = 9000 + 11 * i;
-  return t;
-}
-
-TEST(TelemetryWire, AsyncKeyframeRoundTripsAsV6) {
-  const auto t = sampleAsyncTelemetry();
-  const auto bytes = telemetry::encodeTelemetry(t);
-  EXPECT_EQ(bytes[0], telemetry::kTelemetryVersionAsync);
-  const auto d = telemetry::decodeTelemetry(bytes);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->asyncNet);
-  EXPECT_FALSE(d->phaseProfiling);
-  expectTelemetryEq(*d, t);
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-    EXPECT_EQ(d->engine[i], t.engine[i]) << net::engineCounterName(i);
-  // Peek understands v6 headers.
-  const auto header = telemetry::peekTelemetryHeader(bytes);
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header->node, t.node);
-  EXPECT_FALSE(header->baseSeq.has_value());
-}
-
-TEST(TelemetryWire, AsyncDeltaRoundTripsEngineBlock) {
-  const auto base = sampleAsyncTelemetry();
-  auto next = base;
-  next.seq = 18;
-  telemetry::setCounterValue(next, 4, 77777);
-  next.engine[0] += 123;                             // recvDatagrams grew
-  next.engine[net::kEngineCounterCount - 1] = 4096;  // sendRingPeak
-  const auto delta = telemetry::encodeTelemetryDelta(next, base);
-  const auto header = telemetry::peekTelemetryHeader(delta);
-  ASSERT_TRUE(header.has_value());
-  ASSERT_TRUE(header->baseSeq.has_value());
-  EXPECT_EQ(*header->baseSeq, base.seq);
-  const auto d = telemetry::decodeTelemetry(delta, &base);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->asyncNet);
-  expectTelemetryEq(*d, next);
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-    EXPECT_EQ(d->engine[i], next.engine[i]) << net::engineCounterName(i);
-}
-
-TEST(TelemetryWire, AsyncWithPhasesCarriesBothBlocks) {
-  // An async node that also profiles phases flags the phase block
-  // (kFlagPhases) instead of implying it from the version byte — v6 is
-  // one layout, phases optional, engine block always last.
-  auto t = sampleAsyncTelemetry();
-  t.phaseProfiling = true;
-  for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p) {
-    t.phases[p].count = 40 + p;
-    t.phases[p].sum = 0.5 * static_cast<double>(p + 1);
-    t.phases[p].buckets[8] = 10 + p;
-  }
-  const auto bytes = telemetry::encodeTelemetry(t);
-  EXPECT_EQ(bytes[0], telemetry::kTelemetryVersionAsync);
-  EXPECT_NE(bytes[1] & 0x02, 0) << "phase flag must be set on the wire";
-  const auto d = telemetry::decodeTelemetry(bytes);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->asyncNet);
-  EXPECT_TRUE(d->phaseProfiling);
-  expectTelemetryEq(*d, t);
-  for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p)
-    EXPECT_EQ(d->phases[p], t.phases[p]);
-  for (std::size_t i = 0; i < net::kEngineCounterCount; ++i)
-    EXPECT_EQ(d->engine[i], t.engine[i]) << net::engineCounterName(i);
-}
-
-TEST(TelemetryWire, AsyncOffStaysByteIdenticalV4V5) {
-  // The asyncNet=false encodings must be the EXACT pre-v6 bytes: a sync
-  // node is indistinguishable on the wire from a build without the
-  // engine at all.
-  const auto plain = sampleTelemetry();
-  EXPECT_EQ(telemetry::encodeTelemetry(plain)[0],
-            telemetry::kTelemetryVersionPhaseless);
-  auto phased = plain;
-  phased.phaseProfiling = true;
-  EXPECT_EQ(telemetry::encodeTelemetry(phased)[0],
-            telemetry::kTelemetryVersion);
-  // And v6 with phases off appends the engine block after the same v4
-  // body, relabeled — nothing inserted mid-record.
-  const auto v4 = telemetry::encodeTelemetry(plain);
-  auto async = plain;
-  async.asyncNet = true;  // all-zero engine counters
-  const auto v6 = telemetry::encodeTelemetry(async);
-  ASSERT_GT(v6.size(), v4.size());
-  EXPECT_TRUE(std::equal(v4.begin() + 2, v4.end(), v6.begin() + 2))
-      << "engine block must be appended after every v4 block";
-}
-
-TEST(TelemetryWire, TruncatedEngineBlockRejected) {
-  // Chop the v6 record anywhere inside the trailing engine block: every
-  // prefix must reject (the block is fixed-size, never defaulted).
-  const auto t = sampleAsyncTelemetry();
-  const auto full = telemetry::encodeTelemetry(t);
-  const std::size_t engineBytes = 2 + 8 * net::kEngineCounterCount;
-  for (std::size_t cut = 0; cut <= engineBytes; ++cut) {
-    const auto prefix =
-        std::span<const std::uint8_t>(full).first(full.size() - cut);
-    if (cut == 0) {
-      EXPECT_TRUE(telemetry::decodeTelemetry(prefix).has_value());
-    } else {
-      EXPECT_FALSE(telemetry::decodeTelemetry(prefix).has_value())
-          << "cut " << cut << " bytes off the engine block";
-    }
-  }
-}
-
-TEST(TelemetryWire, EngineCountMismatchRejected) {
-  // The engine block opens [u16 count]; a record claiming a different
-  // counter table than this build's is a version skew, not a guess.
-  const auto t = sampleAsyncTelemetry();
-  const auto good = telemetry::encodeTelemetry(t);
-  const std::size_t countAt = good.size() - (2 + 8 * net::kEngineCounterCount);
-  ASSERT_EQ(good[countAt], net::kEngineCounterCount);
-  ASSERT_EQ(good[countAt + 1], 0);
-  auto bad = good;
-  bad[countAt] = net::kEngineCounterCount + 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(bad).has_value());
-  bad[countAt] = net::kEngineCounterCount - 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(bad).has_value());
-}
-
 TEST(TelemetryWire, PhaseFlagInvalidOutsideV6) {
-  // kFlagPhases only exists in the v6 layout; on v4/v5 the phase block is
-  // implied by the version byte, so the bit is an undefined flag there.
+  // 0x02 was the phase flag of the retired v6 layout; on v4/v5 the phase
+  // block is implied by the version byte, so the bit is an undefined flag
+  // there, for the decoder and the header peek alike.
   auto v4 = telemetry::encodeTelemetry(sampleTelemetry());
   ASSERT_EQ(v4[0], telemetry::kTelemetryVersionPhaseless);
-  v4[1] |= 0x02;
-  EXPECT_FALSE(telemetry::decodeTelemetry(v4).has_value());
   auto v5 = telemetry::encodeTelemetry(samplePhasedTelemetry());
   ASSERT_EQ(v5[0], telemetry::kTelemetryVersion);
-  v5[1] |= 0x02;
-  EXPECT_FALSE(telemetry::decodeTelemetry(v5).has_value());
-}
-
-TEST(TelemetryWire, V6WithoutEngineBlockRejected) {
-  // A record claiming version 6 must actually CARRY the engine block: a
-  // v4-shaped record relabeled 6 is truncated input, not a quiet default.
-  auto bytes = telemetry::encodeTelemetry(sampleTelemetry());
-  bytes[0] = telemetry::kTelemetryVersionAsync;
-  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
-  // A v5-shaped record relabeled 6 fails too: v6 only reads phases under
-  // kFlagPhases, so the unflagged phase bytes misparse as the engine
-  // block's count and the record rejects.
-  auto v5 = telemetry::encodeTelemetry(samplePhasedTelemetry());
-  v5[0] = telemetry::kTelemetryVersionAsync;
-  EXPECT_FALSE(telemetry::decodeTelemetry(v5).has_value());
-}
-
-TEST(TelemetryWire, EngineCounterTableIsStable) {
-  // The engine counter order is the wire format; reordering must bump
-  // kTelemetryVersionAsync. Spot-check the anchors.
-  ASSERT_EQ(net::kEngineCounterCount, 9u);
-  EXPECT_STREQ(net::engineCounterName(0), "engine.recvDatagrams");
-  EXPECT_STREQ(net::engineCounterName(4), "engine.sendDatagrams");
-  EXPECT_STREQ(net::engineCounterName(8), "engine.sendRingPeak");
-  EXPECT_EQ(net::engineCounterName(9), nullptr);
+  for (auto rec : {v4, v5}) {
+    rec[1] |= 0x02;
+    EXPECT_FALSE(telemetry::decodeTelemetry(rec).has_value()) << +rec[0];
+    EXPECT_FALSE(telemetry::peekTelemetryHeader(rec).has_value()) << +rec[0];
+  }
+  // Version 6 itself is retired: neither the decoder nor the header peek
+  // accepts it, with or without its old phase flag.
+  auto v6 = v4;
+  v6[0] = 6;
+  for (const std::uint8_t flags : {0x00, 0x02}) {
+    v6[1] = flags;
+    EXPECT_FALSE(telemetry::decodeTelemetry(v6).has_value()) << +flags;
+    EXPECT_FALSE(telemetry::peekTelemetryHeader(v6).has_value()) << +flags;
+  }
 }
 
 TEST(TelemetryWire, CounterTableIsStable) {

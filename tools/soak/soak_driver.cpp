@@ -487,7 +487,7 @@ class Driver {
           "heartbeat", "ack-interval", "mass-hz",
           "keyframe-interval", "bind-ip", "host-ips", "trace-sample", "flow",
           "send-window-bytes", "tick-flush-bytes", "split-lag-frames",
-          "phase-profile", "async-net"}) {
+          "phase-profile"}) {
       if (args_.has(key))
         argStrs.push_back("--" + std::string(key) + "=" +
                           args_.str(key, ""));

@@ -296,11 +296,6 @@ int run(int argc, char** argv) {
   // histograms and telemetry wire v5 (peers stay v4-compatible; the
   // encoder only emits the phase block when this is on).
   cbCfg.phaseProfile = args.has("phase-profile");
-  // --async-net moves this node's socket work onto the threaded engine
-  // (recv/send threads + SPSC rings, mmsg syscall bursts) and ships the
-  // engine health counters as telemetry wire v6. Default off: the
-  // single-threaded path stays byte-identical to earlier builds.
-  cbCfg.asyncNet = args.has("async-net");
   // --flow arms the adaptive flow-control stack end to end: byte-budgeted
   // reliable send windows with per-channel split/re-merge, the adaptive
   // mid-tick flush, and a BackpressureGovernor fed by a HealthMonitor on
