@@ -447,6 +447,7 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
     hh.live = ch.live;
     hh.ageSec = now_ - ch.lastActivity;
     hh.windowFrames = ch.rq ? ch.rq->buffered() : 0;
+    hh.reorderWindowSec = ch.rq ? ch.rq->reorderWindowSec() : 0.0;
     hh.cumAcked = ch.rq ? (ch.rq->nextExpected() > 0 ? ch.rq->nextExpected() - 1
                                                      : 0)
                         : ch.lastSeq;

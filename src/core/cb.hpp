@@ -134,6 +134,9 @@ struct CbChannelHealth {
   /// Outbound: subscriber's cumulative ack; inbound: last in-order
   /// (reliable) or newest-wins (best effort) sequence delivered.
   std::uint64_t cumAcked = 0;
+  /// Inbound reliable channels: the learned reorder window, how long a
+  /// fresh hole waits for its first NACK. Not on the telemetry wire.
+  double reorderWindowSec = 0.0;
 };
 
 /// Counters exposed for tests, benches and the instructor monitor.

@@ -314,7 +314,7 @@ void CommunicationBackbone::handleUpdate(UpdateMsg& m, double now) {
     std::vector<net::ReliableFrame> ready;
     ch.rq->offer(net::ReliableFrame{m.seq, m.timestamp, std::move(m.payload),
                                     m.traced, m.pubWallSec, now},
-                 ready);
+                 now, ready);
     deliverReliableReady(ch, ready);
     return;
   }
@@ -876,7 +876,8 @@ bool CommunicationBackbone::inChannelTimer(
     }
   }
   if (ch.rq) {
-    // Receiver half of the reliable layer: NACK persistent gaps and
+    // Receiver half of the reliable layer: NACK gaps that outlived the
+    // channel's reorder window (and repeat unanswered NACKs), and
     // acknowledge cumulative progress. Both coalesce with whatever else
     // this tick owes the publisher (heartbeats included).
     const auto missing = ch.rq->collectNacks(now);

@@ -24,21 +24,18 @@ ImpairedTransport::ImpairedTransport(std::unique_ptr<Transport> inner,
 
 void ImpairedTransport::send(const NodeAddr& dst,
                              std::span<const std::uint8_t> bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pumpLocked();
+  pump();
   offer(/*isBroadcast=*/false, dst, 0, bytes);
 }
 
 void ImpairedTransport::broadcast(std::uint16_t port,
                                   std::span<const std::uint8_t> bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pumpLocked();
+  pump();
   offer(/*isBroadcast=*/true, NodeAddr{}, port, bytes);
 }
 
 std::optional<Datagram> ImpairedTransport::receive() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pumpLocked();
+  pump();
   if (!cfg_.impairReceive) return inner_->receive();
   // Duplex mode: drain the socket fully through the inbound model —
   // losses vanish here, survivors wait out their delay in a release
@@ -114,11 +111,6 @@ void ImpairedTransport::forward(const Held& h) {
 }
 
 void ImpairedTransport::pump() {
-  std::lock_guard<std::mutex> lock(mu_);
-  pumpLocked();
-}
-
-void ImpairedTransport::pumpLocked() {
   if (queue_.empty()) return;
   const double now = clock_();
   while (!queue_.empty() && queue_.top().dueSec <= now) {

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -99,21 +98,14 @@ class ImpairedTransport final : public Transport {
   /// its own here (see ImpairmentStats).
   const TransportStats* stats() const override { return inner_->stats(); }
 
-  /// Snapshot by value, taken under mu_.
-  ImpairmentStats impairmentStats() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
+  const ImpairmentStats& impairmentStats() const { return stats_; }
   Transport& inner() { return *inner_; }
 
   /// Release every held datagram whose time has come. Called internally
   /// by send/receive; exposed for tests and drain-at-shutdown.
   void pump();
   /// Held datagrams not yet released (outbound and delayed inbound).
-  std::size_t heldCount() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size() + rxQueue_.size();
-  }
+  std::size_t heldCount() const { return queue_.size() + rxQueue_.size(); }
 
  private:
   struct Held {
@@ -135,9 +127,6 @@ class ImpairedTransport final : public Transport {
   void forward(const Held& h);
   void hold(bool isBroadcast, const NodeAddr& dst, std::uint16_t port,
             std::span<const std::uint8_t> bytes, double dueSec);
-  /// pump() body without the lock, for internal callers already holding
-  /// mu_ (the public pump() would self-deadlock).
-  void pumpLocked();
 
   /// A delayed inbound datagram waiting out its extra latency.
   struct HeldRx {
@@ -153,11 +142,6 @@ class ImpairedTransport final : public Transport {
   std::unique_ptr<Transport> inner_;
   ImpairmentConfig cfg_;
   Clock clock_;
-  /// Serializes the whole decorator — release queues, the shared Rng,
-  /// and (because calls into inner_ happen under it) the inner socket's
-  /// stats counters — so concurrent callers cannot race the seeded
-  /// impairment model into nondeterminism.
-  mutable std::mutex mu_;
   math::Rng rng_;
   ImpairmentStats stats_;
   std::priority_queue<Held, std::vector<Held>, std::greater<Held>> queue_;

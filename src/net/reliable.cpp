@@ -4,6 +4,17 @@
 
 namespace cod::net {
 
+namespace {
+
+/// A duration between two clock readings, rounded to the microsecond. A
+/// reading far from zero carries rounding noise of its own (an ulp of
+/// 4000 s is ~1e-12 s); the 4·RTTVAR term and backoff doublings would
+/// carry that past dueAfter's few-ulp margin, and equal round trips would
+/// repeat their NACKs on different ticks depending on the clock's origin.
+double measured(double sec) { return std::round(sec * 1e6) * 1e-6; }
+
+}  // namespace
+
 const char* qosName(QosClass q) {
   switch (q) {
     case QosClass::kBestEffort: return "best-effort";
@@ -150,16 +161,21 @@ void ReliableReceiveQueue::release(std::vector<ReliableFrame>& ready) {
 }
 
 ReliableReceiveQueue::Offer ReliableReceiveQueue::offer(
-    ReliableFrame frame, std::vector<ReliableFrame>& ready) {
+    ReliableFrame frame, double now, std::vector<ReliableFrame>& ready) {
   maxSeen_ = std::max(maxSeen_, frame.seq);
   if (baseKnown_) {
     if (frame.seq < nextExpected_) {
       ++stats_->duplicatesDropped;
       ++duplicatesDropped_;
       ackDue_ = true;  // the sender evidently missed our last ack
+      noteDuplicate(frame.seq, now);
       return Offer::kDuplicate;
     }
     if (frame.seq == nextExpected_) {
+      // Every tracked hole sits at or above nextExpected_, so the one this
+      // frame fills, if any, is the first.
+      if (!holes_.empty() && holes_.begin()->first == frame.seq)
+        noteFill(holes_.begin(), now);
       ready.push_back(std::move(frame));
       ++nextExpected_;
       release(ready);
@@ -171,15 +187,74 @@ ReliableReceiveQueue::Offer ReliableReceiveQueue::offer(
   if (buffer_.contains(frame.seq)) {
     ++stats_->duplicatesDropped;
     ++duplicatesDropped_;
+    noteDuplicate(frame.seq, now);
     return Offer::kDuplicate;
   }
   if (buffer_.size() >= cfg_->reorderLimit) {
     ++stats_->reorderOverflows;
     return Offer::kOverflow;  // stays missing; a NACK will re-fetch it
   }
+  if (const auto hole = holes_.find(frame.seq); hole != holes_.end())
+    noteFill(hole, now);
   buffer_.emplace(frame.seq, std::move(frame));
   ++stats_->outOfOrderBuffered;
   return Offer::kBuffered;
+}
+
+void ReliableReceiveQueue::noteFill(
+    std::map<std::uint64_t, Hole>::iterator hole, double now) {
+  const std::uint64_t seq = hole->first;
+  const Hole h = hole->second;
+  holes_.erase(hole);
+  const double lateness = measured(now - h.since);
+  if (h.nacks == 0) {
+    // Healed before its NACK: reordering the window has to cover.
+    reorderWindow_ =
+        std::max(reorderWindow_, std::min(lateness, kMaxNackWaitSec));
+    return;
+  }
+  if (h.nacks == 1) {
+    // Karn's rule: after a repeat, the fill cannot say which NACK it
+    // answers. RFC 6298 smoothing otherwise.
+    const double rtt = measured(now - h.nackedAt);
+    if (srtt_ < 0.0) {
+      srtt_ = rtt;
+      rttvar_ = rtt / 2;
+    } else {
+      rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - rtt);
+      srtt_ = 0.875 * srtt_ + 0.125 * rtt;
+    }
+  }
+  backoff_ = 0;  // the peer answers again
+  while (!fills_.empty() &&
+         now >= dueAfter(fills_.front().at, kMaxNackWaitSec))
+    fills_.pop_front();  // past any repair timeout
+  fills_.push_back(Fill{seq, now, lateness, h.nacks});
+}
+
+void ReliableReceiveQueue::noteDuplicate(std::uint64_t seq, double now) {
+  for (auto it = fills_.begin(); it != fills_.end(); ++it) {
+    if (it->seq != seq) continue;
+    // Two copies within one repair timeout: the hole would have healed
+    // without a NACK. A later duplicate, such as a tail-RTO re-send, says
+    // nothing about the NACK. Only a hole NACKed once shows reordering:
+    // after a repeat, the copies may be two repairs, or a repair and the
+    // sender's own tail re-send.
+    if (now < dueAfter(it->at, repairTimeoutSec())) {
+      ++stats_->spuriousNacks;
+      if (it->nacks == 1)
+        reorderWindow_ =
+            std::max(reorderWindow_, std::min(it->lateness, kMaxNackWaitSec));
+    }
+    fills_.erase(it);
+    return;
+  }
+}
+
+double ReliableReceiveQueue::repairTimeoutSec() const {
+  if (srtt_ < 0.0) return kMaxNackWaitSec;
+  const double rto = srtt_ + std::max(kMinRepairVarianceSec, 4 * rttvar_);
+  return std::min(kMaxNackWaitSec, std::ldexp(rto, backoff_));
 }
 
 std::uint64_t ReliableReceiveQueue::abandonThrough(
@@ -194,6 +269,7 @@ std::uint64_t ReliableReceiveQueue::abandonThrough(
     it = buffer_.erase(it);
     --range;
   }
+  holes_.erase(holes_.begin(), holes_.upper_bound(throughSeq));
   nextExpected_ = throughSeq + 1;
   release(ready);
   stats_->gapsAbandoned += range;
@@ -203,7 +279,7 @@ std::uint64_t ReliableReceiveQueue::abandonThrough(
 
 std::vector<std::uint64_t> ReliableReceiveQueue::collectNacks(double now) {
   if (!baseKnown_ || buffer_.empty()) {
-    missingSince_.clear();
+    holes_.clear();
     return {};
   }
   // Enumerate the holes below the buffered frames. Track more than one
@@ -218,24 +294,42 @@ std::vector<std::uint64_t> ReliableReceiveQueue::collectNacks(double now) {
     seq = held + 1;
   }
   // Age each hole individually: drop the healed, stamp the new.
-  for (auto it = missingSince_.begin(); it != missingSince_.end();) {
+  for (auto it = holes_.begin(); it != holes_.end();) {
     if (std::binary_search(current.begin(), current.end(), it->first)) {
       ++it;
     } else {
-      it = missingSince_.erase(it);
+      it = holes_.erase(it);
     }
   }
-  for (const std::uint64_t s : current) missingSince_.emplace(s, now);
-  if (now - lastNackSec_ < cfg_->nackIntervalSec) return {};
-  // Only holes that outlived the jitter-healing grace are NACKed; a
-  // frame that is merely reordered arrives before its hole comes of age.
+  for (const std::uint64_t s : current) holes_.try_emplace(s, Hole{now});
+  // A fresh hole is due once it outlives the reorder window, a NACKed one
+  // once the repair timeout has passed since its last NACK. A NACK leaves
+  // when a fresh hole is due; repeats ride along, and on their own wait
+  // out the timeout since the channel's last NACK too, so one message
+  // repeats every hole that is due and a silent peer draws one NACK per
+  // timeout.
+  const double rto = repairTimeoutSec();
+  const auto freshDue = [&](const Hole& h) {
+    return h.nacks == 0 && now >= dueAfter(h.since, reorderWindow_);
+  };
+  if (now < dueAfter(lastNackSec_, rto) &&
+      std::none_of(holes_.begin(), holes_.end(),
+                   [&](const auto& e) { return freshDue(e.second); }))
+    return {};
   std::vector<std::uint64_t> due;
-  for (const auto& [s, since] : missingSince_) {
-    if (now - since < cfg_->nackIntervalSec) continue;
+  bool repeat = false;
+  for (auto& [s, h] : holes_) {
+    if (h.nacks == 0 ? !freshDue(h) : now < dueAfter(h.nackedAt, rto))
+      continue;
+    repeat = repeat || h.nacks > 0;
+    ++h.nacks;
+    h.nackedAt = now;
     due.push_back(s);
     if (due.size() >= cfg_->maxNacksPerMessage) break;
   }
   if (due.empty()) return {};
+  // A repeat means the hole's last NACK went unanswered: back off.
+  if (repeat && rto < kMaxNackWaitSec) ++backoff_;
   lastNackSec_ = now;
   ++stats_->nacksSent;
   return due;
@@ -254,16 +348,20 @@ double ReliableReceiveQueue::nextTimerDue() const {
   constexpr double kNever = std::numeric_limits<double>::infinity();
   if (!baseKnown_) return kNever;
   double due = ackDue_ ? dueAfter(lastAckSec_, cfg_->ackIntervalSec) : kNever;
-  if (!missingSince_.empty()) {
-    // A NACK leaves once the oldest tracked hole has aged nackIntervalSec
-    // and the last NACK is that long ago.
-    double oldest = kNever;
-    for (const auto& [seq, since] : missingSince_)
-      oldest = std::min(oldest, since);
-    due = std::min(due,
-                   std::max(dueAfter(oldest, cfg_->nackIntervalSec),
-                            dueAfter(lastNackSec_, cfg_->nackIntervalSec)));
+  // collectNacks' two conditions: a fresh hole outlives the reorder
+  // window, or a NACKed hole's repair timeout has passed since both its
+  // own last NACK and the channel's.
+  const double rto = repairTimeoutSec();
+  double repeatDue = kNever;
+  for (const auto& [seq, h] : holes_) {
+    if (h.nacks == 0) {
+      due = std::min(due, dueAfter(h.since, reorderWindow_));
+    } else {
+      repeatDue = std::min(repeatDue, dueAfter(h.nackedAt, rto));
+    }
   }
+  if (repeatDue < kNever)
+    due = std::min(due, std::max(repeatDue, dueAfter(lastNackSec_, rto)));
   return due;
 }
 

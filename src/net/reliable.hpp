@@ -31,6 +31,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -79,12 +80,19 @@ inline double dueAfter(double since, double interval) {
                                 (std::abs(since) + std::abs(interval));
 }
 
+/// Ceiling of the receiver's learned NACK timing, and its starting repair
+/// timeout: a hole waits at most this long for its first NACK, NACKs are
+/// repeated this far apart until the peer has answered one, and a peer
+/// that stops answering backs off to it. A silent peer is therefore
+/// NACKed at most once per kMaxNackWaitSec.
+inline constexpr double kMaxNackWaitSec = 0.05;
+/// Floor of the repair timeout's variance term (RFC 6298's clock
+/// granularity G): a steady round trip still leaves one clock tick of
+/// slack before a NACK is repeated.
+inline constexpr double kMinRepairVarianceSec = 0.001;
+
 /// Tunables of the reliable layer (CB config embeds one).
 struct ReliableConfig {
-  /// How long a gap must persist before the receiver NACKs it, and the
-  /// minimum spacing between NACKs for the same channel. Should exceed
-  /// typical jitter so plain reordering heals itself without traffic.
-  double nackIntervalSec = 0.05;
   /// Sender-side retransmit timeout: an unacknowledged frame older than
   /// this is re-sent unprompted (covers tail loss, where the receiver
   /// never learns a gap exists).
@@ -161,6 +169,10 @@ struct ReliableStats {
   /// loss estimate subtracts them: a delivered-twice frame was never a
   /// network loss, just an ack that lost the race with the tail RTO.
   std::uint64_t peerDuplicatesReported = 0;
+  /// Receiver: duplicates of a NACKed sequence that arrived within one
+  /// repair timeout of its fill — the hole would have healed without
+  /// (all of) its NACKs. Not on the telemetry wire.
+  std::uint64_t spuriousNacks = 0;
 };
 
 /// One data frame as the reliable layer sees it: an opaque payload with
@@ -290,6 +302,22 @@ class ReliableSendWindow {
 /// publisher's CHANNEL_ACK. Frames arriving before the base is known are
 /// buffered, never delivered or NACKed (their gaps cannot be told from
 /// history that predates the channel).
+///
+/// NACK timing is learned per channel rather than configured, after RACK
+/// (RFC 8985) and the RFC 6298 retransmit timer:
+///   - a hole is NACKed once it outlives the channel's reorder window.
+///     The window starts at 0 and widens to the lateness actually seen:
+///     how long a hole stayed open when it healed before its NACK, or
+///     when, NACKed once, it drew a duplicate within one repair timeout
+///     of the fill (the NACK was spurious);
+///   - a NACKed hole is NACKed again once the repair timeout has passed
+///     since its last NACK and since the channel's last NACK message. The
+///     timeout is SRTT + max(kMinRepairVarianceSec, 4·RTTVAR) over
+///     NACK→fill samples, taken only from holes NACKed exactly once
+///     (Karn's rule). It starts at kMaxNackWaitSec, doubles with every
+///     NACK that repeats an unanswered one, and drops back to the
+///     estimate when a NACKed hole fills.
+/// Both are capped at kMaxNackWaitSec.
 class ReliableReceiveQueue {
  public:
   ReliableReceiveQueue(const ReliableConfig& cfg, ReliableStats& stats)
@@ -308,9 +336,12 @@ class ReliableReceiveQueue {
     kOverflow,   // reorder buffer full; frame dropped (will be NACKed)
   };
 
-  /// Feed one arriving frame; releasable frames (this one and any healed
-  /// successors) are appended to `ready` strictly in sequence order.
-  Offer offer(ReliableFrame frame, std::vector<ReliableFrame>& ready);
+  /// Feed one frame that arrived at `now`; releasable frames (this one and
+  /// any healed successors) are appended to `ready` strictly in sequence
+  /// order. A frame that fills a tracked hole, or duplicates a recent
+  /// fill, updates the channel's learned NACK timing.
+  Offer offer(ReliableFrame frame, double now,
+              std::vector<ReliableFrame>& ready);
 
   /// Sender declared frames <= `throughSeq` unrecoverable (evicted from
   /// its window): skip them so the stream can resume. Releasable buffered
@@ -319,11 +350,10 @@ class ReliableReceiveQueue {
   std::uint64_t abandonThrough(std::uint64_t throughSeq,
                                std::vector<ReliableFrame>& ready);
 
-  /// Missing sequence numbers to NACK now (empty if no gap has persisted
-  /// for nackIntervalSec or a NACK went out more recently than that).
-  /// Each hole is aged individually, so a fresh hole opened while an
-  /// older gap is outstanding still gets its full jitter-healing grace
-  /// before it is NACKed. Caps at maxNacksPerMessage.
+  /// Missing sequence numbers to NACK now: holes that outlived the
+  /// reorder window, plus NACKed holes whose repair timeout has passed
+  /// (empty if none is due). Each hole is aged from when this poll first
+  /// saw it. Caps at maxNacksPerMessage.
   std::vector<std::uint64_t> collectNacks(double now);
 
   /// Cumulative sequence to acknowledge now, if an ack is due (progress
@@ -353,20 +383,52 @@ class ReliableReceiveQueue {
   /// publisher in WINDOW_ACK dup blocks so its loss estimate can subtract
   /// retransmits that were delivered twice rather than lost.
   std::uint64_t duplicatesDropped() const { return duplicatesDropped_; }
+  /// How long a fresh hole waits for its first NACK.
+  double reorderWindowSec() const { return reorderWindow_; }
+  /// How long a NACKed hole waits before it is NACKed again.
+  double repairTimeoutSec() const;
 
  private:
+  /// A missing sequence as collectNacks tracks it.
+  struct Hole {
+    double since = 0.0;     // first poll that saw it missing
+    double nackedAt = 0.0;  // last NACK that listed it
+    std::uint32_t nacks = 0;
+  };
+  /// A NACKed hole that filled recently: a duplicate of it within one
+  /// repair timeout marks the NACK spurious.
+  struct Fill {
+    std::uint64_t seq = 0;
+    double at = 0.0;
+    double lateness = 0.0;    // how long the hole stayed open
+    std::uint32_t nacks = 0;  // NACKs that listed it
+  };
+
   void release(std::vector<ReliableFrame>& ready);
+  /// `hole` just filled at `now`: learn from it, then forget it.
+  void noteFill(std::map<std::uint64_t, Hole>::iterator hole, double now);
+  /// A duplicate of `seq` arrived at `now`.
+  void noteDuplicate(std::uint64_t seq, double now);
 
   const ReliableConfig* cfg_;
   ReliableStats* stats_;
   std::map<std::uint64_t, ReliableFrame> buffer_;
-  /// When each currently-missing sequence was first observed missing,
-  /// maintained lazily by collectNacks (healed holes are dropped).
-  std::map<std::uint64_t, double> missingSince_;
+  /// The currently-missing sequences, maintained lazily by collectNacks
+  /// (healed holes are dropped); every key is >= nextExpected_.
+  std::map<std::uint64_t, Hole> holes_;
+  /// NACKed holes filled within the last kMaxNackWaitSec, oldest first.
+  std::deque<Fill> fills_;
   bool baseKnown_ = false;
   std::uint64_t nextExpected_ = 0;
   std::uint64_t maxSeen_ = 0;
   std::uint64_t duplicatesDropped_ = 0;
+  double reorderWindow_ = 0.0;
+  /// Smoothed NACK→fill round trip and its mean deviation; srtt_ < 0
+  /// until the first sample.
+  double srtt_ = -1.0;
+  double rttvar_ = 0.0;
+  /// Doublings of the repair timeout since the last fill of a NACKed hole.
+  int backoff_ = 0;
   double lastNackSec_ = -1e300;
   double lastAckSec_ = -1e300;
   bool ackDue_ = false;

@@ -816,9 +816,9 @@ TEST(WireDigest, TimerPathsWireDigestIsPinned) {
     std::size_t datagrams;
     std::uint64_t digest;
   };
-  for (const Case c : {Case{false, true, 15717, 11041363238732833539ull},
-                       Case{true, true, 15648, 677050216604120547ull},
-                       Case{false, false, 18890, 14946788691355040827ull}}) {
+  for (const Case c : {Case{false, true, 16095, 12117349218154948365ull},
+                       Case{true, true, 16091, 6244924585916829988ull},
+                       Case{false, false, 18545, 14359508393808551388ull}}) {
     CommunicationBackbone::Config cfg;
     cfg.reliable.perChannelWindowSplit = c.split;
     cfg.batch.enabled = c.batching;

@@ -25,6 +25,8 @@ ReliableFrame frame(std::uint64_t seq) {
                        {static_cast<std::uint8_t>(seq & 0xFF)}};
 }
 
+using Offer = ReliableReceiveQueue::Offer;
+
 class ReceiveQueueTest : public ::testing::Test {
  protected:
   ReliableConfig cfg;
@@ -36,7 +38,7 @@ TEST_F(ReceiveQueueTest, InOrderFramesPassStraightThrough) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
   for (std::uint64_t s = 1; s <= 5; ++s)
-    EXPECT_EQ(q.offer(frame(s), ready), ReliableReceiveQueue::Offer::kDelivered);
+    EXPECT_EQ(q.offer(frame(s), 0.0, ready), Offer::kDelivered);
   ASSERT_EQ(ready.size(), 5u);
   for (std::uint64_t s = 1; s <= 5; ++s) EXPECT_EQ(ready[s - 1].seq, s);
   EXPECT_EQ(q.nextExpected(), 6u);
@@ -46,11 +48,11 @@ TEST_F(ReceiveQueueTest, InOrderFramesPassStraightThrough) {
 TEST_F(ReceiveQueueTest, GapBuffersUntilHealed) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  EXPECT_EQ(q.offer(frame(1), ready), ReliableReceiveQueue::Offer::kDelivered);
-  EXPECT_EQ(q.offer(frame(3), ready), ReliableReceiveQueue::Offer::kBuffered);
-  EXPECT_EQ(q.offer(frame(4), ready), ReliableReceiveQueue::Offer::kBuffered);
+  EXPECT_EQ(q.offer(frame(1), 0.0, ready), Offer::kDelivered);
+  EXPECT_EQ(q.offer(frame(3), 0.0, ready), Offer::kBuffered);
+  EXPECT_EQ(q.offer(frame(4), 0.0, ready), Offer::kBuffered);
   ASSERT_EQ(ready.size(), 1u);  // 3 and 4 held behind the hole at 2
-  EXPECT_EQ(q.offer(frame(2), ready), ReliableReceiveQueue::Offer::kDelivered);
+  EXPECT_EQ(q.offer(frame(2), 0.0, ready), Offer::kDelivered);
   ASSERT_EQ(ready.size(), 4u);  // 2 healed the gap and released 3, 4
   EXPECT_EQ(ready[1].seq, 2u);
   EXPECT_EQ(ready[2].seq, 3u);
@@ -61,10 +63,10 @@ TEST_F(ReceiveQueueTest, GapBuffersUntilHealed) {
 TEST_F(ReceiveQueueTest, DuplicatesDroppedBothDeliveredAndBuffered) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  q.offer(frame(1), ready);
-  EXPECT_EQ(q.offer(frame(1), ready), ReliableReceiveQueue::Offer::kDuplicate);
-  q.offer(frame(3), ready);
-  EXPECT_EQ(q.offer(frame(3), ready), ReliableReceiveQueue::Offer::kDuplicate);
+  q.offer(frame(1), 0.0, ready);
+  EXPECT_EQ(q.offer(frame(1), 0.0, ready), Offer::kDuplicate);
+  q.offer(frame(3), 0.0, ready);
+  EXPECT_EQ(q.offer(frame(3), 0.0, ready), Offer::kDuplicate);
   EXPECT_EQ(stats.duplicatesDropped, 2u);
   EXPECT_EQ(ready.size(), 1u);
 }
@@ -73,14 +75,14 @@ TEST_F(ReceiveQueueTest, PreBaseFramesHeldUntilBaseArrives) {
   ReliableReceiveQueue q(cfg, stats);
   // Updates raced ahead of the CHANNEL_ACK: nothing may be delivered (a
   // gap below the first-seen frame would be invisible).
-  EXPECT_EQ(q.offer(frame(7), ready), ReliableReceiveQueue::Offer::kBuffered);
-  EXPECT_EQ(q.offer(frame(6), ready), ReliableReceiveQueue::Offer::kBuffered);
+  EXPECT_EQ(q.offer(frame(7), 0.0, ready), Offer::kBuffered);
+  EXPECT_EQ(q.offer(frame(6), 0.0, ready), Offer::kBuffered);
   EXPECT_TRUE(ready.empty());
   EXPECT_TRUE(q.collectNacks(10.0).empty());  // no NACKs before the base
   q.setBase(5, ready);
   // 6 and 7 were buffered but 5 is still missing.
   EXPECT_TRUE(ready.empty());
-  q.offer(frame(5), ready);
+  q.offer(frame(5), 0.0, ready);
   ASSERT_EQ(ready.size(), 3u);
   EXPECT_EQ(ready[0].seq, 5u);
   EXPECT_EQ(ready[2].seq, 7u);
@@ -88,52 +90,226 @@ TEST_F(ReceiveQueueTest, PreBaseFramesHeldUntilBaseArrives) {
 
 TEST_F(ReceiveQueueTest, SetBaseDiscardsHistoryBelowIt) {
   ReliableReceiveQueue q(cfg, stats);
-  q.offer(frame(3), ready);  // pre-base stray from before our channel
+  q.offer(frame(3), 0.0, ready);  // pre-base stray from before our channel
   q.setBase(5, ready);
   EXPECT_TRUE(ready.empty());
   EXPECT_EQ(q.nextExpected(), 5u);
-  q.offer(frame(5), ready);
+  q.offer(frame(5), 0.0, ready);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0].seq, 5u);
 }
 
+using Seqs = std::vector<std::uint64_t>;
+
+/// Hole 2 is NACKed at t=0, its original turns up 4 ms late and the
+/// repair 1 ms after that: the NACK was spurious. Leaves 1..3 delivered,
+/// a 4 ms reorder window and a 12 ms repair timeout (SRTT 4 ms,
+/// RTTVAR 2 ms).
+void learnFourMillisecondsOfReordering(ReliableReceiveQueue& q,
+                                       std::vector<ReliableFrame>& ready) {
+  q.setBase(1, ready);
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(3), 0.0, ready);
+  ASSERT_EQ(q.collectNacks(0.0), Seqs{2});
+  q.offer(frame(2), 0.004, ready);  // the original: fills the hole
+  ASSERT_DOUBLE_EQ(q.reorderWindowSec(), 0.0);
+  q.offer(frame(2), 0.005, ready);  // the repair, within one timeout
+  ASSERT_DOUBLE_EQ(q.reorderWindowSec(), 0.004);
+  ASSERT_DOUBLE_EQ(q.repairTimeoutSec(), 0.012);
+  ASSERT_EQ(q.nextExpected(), 4u);
+}
+
 TEST_F(ReceiveQueueTest, NacksListHolesAfterPersistentGap) {
-  cfg.nackIntervalSec = 0.05;
+  // No reordering seen yet: every hole goes out on the poll that finds
+  // it. The repeat waits out the repair timeout, which starts at the cap.
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  q.offer(frame(1), ready);
-  q.offer(frame(4), ready);
-  q.offer(frame(6), ready);
-  EXPECT_TRUE(q.collectNacks(0.0).empty());  // gap just appeared
-  const auto missing = q.collectNacks(0.1);  // persisted past the interval
-  ASSERT_EQ(missing.size(), 3u);
-  EXPECT_EQ(missing[0], 2u);
-  EXPECT_EQ(missing[1], 3u);
-  EXPECT_EQ(missing[2], 5u);
-  EXPECT_TRUE(q.collectNacks(0.11).empty());  // paced: too soon to repeat
-  EXPECT_FALSE(q.collectNacks(0.2).empty());
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(4), 0.0, ready);
+  q.offer(frame(6), 0.0, ready);
+  EXPECT_EQ(q.collectNacks(0.0), (Seqs{2, 3, 5}));
+  EXPECT_TRUE(q.collectNacks(0.04).empty());  // paced: too soon to repeat
+  EXPECT_EQ(q.collectNacks(kMaxNackWaitSec), (Seqs{2, 3, 5}));
   EXPECT_EQ(stats.nacksSent, 2u);
 }
 
 TEST_F(ReceiveQueueTest, FreshHoleAgesBeforeBeingNacked) {
-  // A hole opened while an older gap is outstanding must still get the
-  // full jitter-healing grace before it is NACKed — otherwise a merely
-  // reordered in-flight frame is retransmitted for nothing.
-  cfg.nackIntervalSec = 0.05;
+  // Once reordering has been seen, a hole opened while an older one is in
+  // repair still gets the whole reorder window before it is NACKed, and
+  // the older hole's repeat waits for its own repair timeout.
+  ReliableReceiveQueue q(cfg, stats);
+  learnFourMillisecondsOfReordering(q, ready);
+  q.offer(frame(5), 0.010, ready);  // hole at 4
+  EXPECT_TRUE(q.collectNacks(0.010).empty());  // too fresh
+  EXPECT_TRUE(q.collectAck(0.010).has_value());
+  EXPECT_DOUBLE_EQ(q.nextTimerDue(), dueAfter(0.010, 0.004));
+  EXPECT_EQ(q.collectNacks(0.014), Seqs{4});
+  q.offer(frame(8), 0.016, ready);  // new holes at 6, 7 while 4 is open
+  EXPECT_TRUE(q.collectNacks(0.016).empty());
+  EXPECT_TRUE(q.collectNacks(0.019).empty());
+  EXPECT_EQ(q.collectNacks(0.020), (Seqs{6, 7}));  // only the aged holes
+  // 4's repeat came due at 0.026, but alone it also waits a repair
+  // timeout after the channel's last NACK: one message repeats all three.
+  EXPECT_TRUE(q.collectNacks(0.026).empty());
+  EXPECT_DOUBLE_EQ(q.nextTimerDue(), dueAfter(0.020, 0.012));
+  EXPECT_EQ(q.collectNacks(0.032), (Seqs{4, 6, 7}));
+}
+
+TEST_F(ReceiveQueueTest, HoleNackedOnTheTickItOpensWithoutReordering) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  q.offer(frame(1), ready);
-  q.offer(frame(3), ready);  // hole at 2
-  EXPECT_TRUE(q.collectNacks(0.0).empty());  // too fresh
-  q.offer(frame(6), ready);  // new holes at 4, 5 while 2 is still open
-  const auto first = q.collectNacks(0.06);
-  ASSERT_EQ(first.size(), 1u);  // only the aged hole goes out
-  EXPECT_EQ(first[0], 2u);
-  q.offer(frame(2), ready);  // 2 heals (delivers 2 and 3)
-  const auto second = q.collectNacks(0.12);
-  ASSERT_EQ(second.size(), 2u);  // 4 and 5 have aged by now
-  EXPECT_EQ(second[0], 4u);
-  EXPECT_EQ(second[1], 5u);
+  q.offer(frame(1), 0.5, ready);
+  q.offer(frame(3), 0.5, ready);
+  EXPECT_DOUBLE_EQ(q.reorderWindowSec(), 0.0);
+  EXPECT_EQ(q.collectNacks(0.5), Seqs{2});
+  // A hole that opens a tick later goes out on its own tick too: pacing
+  // only spaces out repeats.
+  q.offer(frame(5), 0.501, ready);
+  EXPECT_EQ(q.collectNacks(0.501), Seqs{4});
+  EXPECT_EQ(stats.nacksSent, 2u);
+}
+
+TEST_F(ReceiveQueueTest, SpuriousNackWidensTheReorderWindow) {
+  ReliableReceiveQueue q(cfg, stats);
+  learnFourMillisecondsOfReordering(q, ready);
+  EXPECT_EQ(stats.spuriousNacks, 1u);
+  EXPECT_EQ(stats.duplicatesDropped, 1u);
+  // The next reordering of up to 4 ms heals without traffic.
+  q.offer(frame(5), 0.1, ready);
+  EXPECT_TRUE(q.collectNacks(0.1).empty());
+  q.offer(frame(4), 0.103, ready);
+  EXPECT_TRUE(q.collectNacks(0.103).empty());
+  EXPECT_EQ(q.nextExpected(), 6u);
+  EXPECT_EQ(stats.nacksSent, 1u);
+}
+
+TEST_F(ReceiveQueueTest, HealBeforeNackWidensTheReorderWindow) {
+  // A hole that heals between two polls, later than the window, shows
+  // lateness the window did not cover.
+  ReliableReceiveQueue q(cfg, stats);
+  learnFourMillisecondsOfReordering(q, ready);
+  q.offer(frame(5), 0.1, ready);  // hole at 4
+  EXPECT_TRUE(q.collectNacks(0.1).empty());
+  q.offer(frame(4), 0.1065, ready);  // no poll in between
+  EXPECT_NEAR(q.reorderWindowSec(), 0.0065, 1e-12);
+  EXPECT_EQ(stats.spuriousNacks, 1u);  // nothing was NACKed
+  q.offer(frame(7), 0.2, ready);  // hole at 6 now waits 6.5 ms
+  EXPECT_TRUE(q.collectNacks(0.2).empty());
+  EXPECT_TRUE(q.collectNacks(0.206).empty());
+  EXPECT_EQ(q.collectNacks(0.2065), Seqs{6});
+}
+
+TEST_F(ReceiveQueueTest, LateDuplicateDoesNotWidenTheWindow) {
+  // A tail-RTO re-send of a frame the NACK already repaired arrives long
+  // after the fill: a duplicate, but no evidence of reordering.
+  ReliableReceiveQueue q(cfg, stats);
+  q.setBase(1, ready);
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(3), 0.0, ready);
+  ASSERT_EQ(q.collectNacks(0.0), Seqs{2});
+  q.offer(frame(2), 0.002, ready);  // the repair
+  EXPECT_DOUBLE_EQ(q.repairTimeoutSec(), 0.006);
+  q.offer(frame(2), 0.25, ready);  // the sender's tail retransmit
+  EXPECT_EQ(stats.duplicatesDropped, 1u);
+  EXPECT_EQ(stats.spuriousNacks, 0u);
+  EXPECT_DOUBLE_EQ(q.reorderWindowSec(), 0.0);
+  // Nor does a duplicate of a frame that was never NACKed.
+  q.offer(frame(3), 0.251, ready);
+  EXPECT_EQ(stats.spuriousNacks, 0u);
+  EXPECT_DOUBLE_EQ(q.reorderWindowSec(), 0.0);
+}
+
+TEST_F(ReceiveQueueTest, ReorderWindowAndRepairTimeoutAreCapped) {
+  ReliableReceiveQueue q(cfg, stats);
+  q.setBase(1, ready);
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(3), 0.0, ready);
+  ASSERT_EQ(q.collectNacks(0.0), Seqs{2});
+  // An 80 ms round trip: SRTT + 4·RTTVAR would be 240 ms.
+  q.offer(frame(2), 0.08, ready);
+  EXPECT_DOUBLE_EQ(q.repairTimeoutSec(), kMaxNackWaitSec);
+  // The repair arrives too: the original was 80 ms late.
+  q.offer(frame(2), 0.09, ready);
+  EXPECT_EQ(stats.spuriousNacks, 1u);
+  EXPECT_DOUBLE_EQ(q.reorderWindowSec(), kMaxNackWaitSec);
+  // A hole still goes out once it is kMaxNackWaitSec old.
+  q.offer(frame(5), 1.0, ready);
+  EXPECT_TRUE(q.collectNacks(1.0).empty());
+  EXPECT_TRUE(q.collectNacks(1.049).empty());
+  EXPECT_EQ(q.collectNacks(1.0 + kMaxNackWaitSec), Seqs{4});
+}
+
+TEST_F(ReceiveQueueTest, RepairTimeoutSamplesKarnStyleBacksOffAndResets) {
+  ReliableReceiveQueue q(cfg, stats);
+  q.setBase(1, ready);
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(3), 0.0, ready);
+  ASSERT_EQ(q.collectNacks(0.0), Seqs{2});
+  ASSERT_EQ(q.collectNacks(0.05), Seqs{2});  // unanswered: repeat
+  // Filled after two NACKs: which one did it answer? No sample.
+  q.offer(frame(2), 0.052, ready);
+  EXPECT_DOUBLE_EQ(q.repairTimeoutSec(), kMaxNackWaitSec);
+  // A hole NACKed once gives a sample: 3 ms, so 3 + 4·1.5 = 9 ms.
+  q.offer(frame(5), 0.1, ready);
+  ASSERT_EQ(q.collectNacks(0.1), Seqs{4});
+  q.offer(frame(4), 0.103, ready);
+  EXPECT_NEAR(q.repairTimeoutSec(), 0.009, 1e-12);
+  // A peer that stops answering: each repeat doubles the timeout, up to
+  // the cap.
+  q.offer(frame(7), 0.2, ready);
+  ASSERT_EQ(q.collectNacks(0.2), Seqs{6});
+  EXPECT_TRUE(q.collectNacks(0.208).empty());
+  ASSERT_EQ(q.collectNacks(0.209), Seqs{6});
+  EXPECT_NEAR(q.repairTimeoutSec(), 0.018, 1e-12);
+  EXPECT_TRUE(q.collectNacks(0.226).empty());
+  ASSERT_EQ(q.collectNacks(0.227), Seqs{6});
+  EXPECT_NEAR(q.repairTimeoutSec(), 0.036, 1e-12);
+  ASSERT_EQ(q.collectNacks(0.263), Seqs{6});
+  EXPECT_DOUBLE_EQ(q.repairTimeoutSec(), kMaxNackWaitSec);
+  ASSERT_EQ(q.collectNacks(0.313), Seqs{6});
+  EXPECT_DOUBLE_EQ(q.repairTimeoutSec(), kMaxNackWaitSec);
+  // The fill resets the backoff; after four repeats it gives no sample.
+  q.offer(frame(6), 0.314, ready);
+  EXPECT_NEAR(q.repairTimeoutSec(), 0.009, 1e-12);
+  EXPECT_EQ(q.nextExpected(), 8u);
+}
+
+TEST(ReceiveQueueTiming, NackTicksDoNotDependOnTheClockOrigin) {
+  // The same schedule on a 1 ms tick grid, from a clock origin near zero
+  // and from one an hour into a run: every NACK leaves on the same tick.
+  // Round trips are differences of large clock readings there, and
+  // backoff doubles them up to the cap.
+  const auto nackTicks = [](double origin) {
+    ReliableConfig cfg;
+    ReliableStats stats;
+    ReliableReceiveQueue q(cfg, stats);
+    std::vector<ReliableFrame> ready;
+    q.setBase(1, ready);
+    std::vector<std::pair<int, Seqs>> out;
+    std::uint64_t next = 1;
+    for (int tick = 0; tick < 10000; ++tick) {
+      const double now = origin + tick * 1e-3;
+      if (tick % 40 == 0) {
+        // A frame every 40 ticks; every third is lost and reappears as a
+        // repair on the tick after the NACK, or after three repeats.
+        if (next % 3 != 0) q.offer(frame(next), now, ready);
+        ++next;
+      }
+      for (const auto& [at, seqs] : out) {
+        if (at != tick - 1) continue;
+        for (const std::uint64_t s : seqs)
+          if (s % 2 == 0 || stats.nacksSent % 4 == 0)
+            q.offer(frame(s), now, ready);
+      }
+      if (auto nacks = q.collectNacks(now); !nacks.empty())
+        out.emplace_back(tick, std::move(nacks));
+    }
+    return out;
+  };
+  const auto reference = nackTicks(0.0);
+  EXPECT_GT(reference.size(), 100u);
+  for (const double origin : {1.7, 517.3, 4321.987654, 9000.000123})
+    EXPECT_EQ(nackTicks(origin), reference) << "origin " << origin;
 }
 
 TEST_F(ReceiveQueueTest, AckDueAfterProgressAndAfterDuplicates) {
@@ -141,14 +317,14 @@ TEST_F(ReceiveQueueTest, AckDueAfterProgressAndAfterDuplicates) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
   EXPECT_TRUE(q.collectAck(0.0).has_value());  // announces the base
-  q.offer(frame(1), ready);
+  q.offer(frame(1), 0.0, ready);
   EXPECT_FALSE(q.collectAck(0.05).has_value());  // interval not elapsed
   const auto ack = q.collectAck(0.2);
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(*ack, 1u);
   EXPECT_FALSE(q.collectAck(0.4).has_value());  // nothing new to report
   // A duplicate means the sender missed our ack: re-arm it.
-  q.offer(frame(1), ready);
+  q.offer(frame(1), 0.0, ready);
   const auto reack = q.collectAck(0.6);
   ASSERT_TRUE(reack.has_value());
   EXPECT_EQ(*reack, 1u);
@@ -157,8 +333,8 @@ TEST_F(ReceiveQueueTest, AckDueAfterProgressAndAfterDuplicates) {
 TEST_F(ReceiveQueueTest, AbandonSkipsHolesButDeliversBufferedFrames) {
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  q.offer(frame(1), ready);
-  q.offer(frame(3), ready);  // 2 lost and (say) evicted at the sender
+  q.offer(frame(1), 0.0, ready);
+  q.offer(frame(3), 0.0, ready);  // 2 lost and (say) evicted at the sender
   ready.clear();
   EXPECT_EQ(q.abandonThrough(2, ready), 1u);  // only 2 is truly gone
   ASSERT_EQ(ready.size(), 1u);
@@ -172,7 +348,7 @@ TEST_F(ReceiveQueueTest, PiggybackAckIgnoresPacingAndAbsorbsPeriodicAck) {
   ReliableReceiveQueue q(cfg, stats);
   EXPECT_FALSE(q.piggybackAck(0.0).has_value());  // base still unknown
   q.setBase(1, ready);
-  q.offer(frame(1), ready);
+  q.offer(frame(1), 0.0, ready);
   // Riding a departing keep-alive costs nothing, so the pacing interval
   // does not apply…
   const auto pig = q.piggybackAck(0.01);
@@ -181,7 +357,7 @@ TEST_F(ReceiveQueueTest, PiggybackAckIgnoresPacingAndAbsorbsPeriodicAck) {
   // …and the periodic ack it replaced is absorbed, not duplicated.
   EXPECT_FALSE(q.collectAck(0.2).has_value());
   // New progress re-arms the normal path.
-  q.offer(frame(2), ready);
+  q.offer(frame(2), 0.0, ready);
   EXPECT_TRUE(q.collectAck(0.5).has_value());
 }
 
@@ -189,8 +365,8 @@ TEST_F(ReceiveQueueTest, ReorderLimitDropsOverflow) {
   cfg.reorderLimit = 4;
   ReliableReceiveQueue q(cfg, stats);
   q.setBase(1, ready);
-  for (std::uint64_t s = 2; s <= 5; ++s) q.offer(frame(s), ready);
-  EXPECT_EQ(q.offer(frame(6), ready), ReliableReceiveQueue::Offer::kOverflow);
+  for (std::uint64_t s = 2; s <= 5; ++s) q.offer(frame(s), 0.0, ready);
+  EXPECT_EQ(q.offer(frame(6), 0.0, ready), Offer::kOverflow);
   EXPECT_EQ(stats.reorderOverflows, 1u);
   EXPECT_EQ(q.buffered(), 4u);
 }
@@ -371,12 +547,16 @@ TEST(ReliableDeadlines, ReceiveQueuePolledWhenDueMatchesEveryTick) {
       if (rng.percent(2)) nextSeq += 10 + rng.next() % 40;
       const std::uint64_t seq = nextSeq++;
       if (!rng.percent(30))
-        feed([&](ReliableReceiveQueue& q, auto& r) { q.offer(frame(seq), r); });
+        feed([&](ReliableReceiveQueue& q, auto& r) {
+          q.offer(frame(seq), now, r);
+        });
     }
     if (!nacked.empty() && rng.percent(30)) {
       // Repair from the last NACK, or a stale duplicate.
       const std::uint64_t seq = nacked[rng.next() % nacked.size()];
-      feed([&](ReliableReceiveQueue& q, auto& r) { q.offer(frame(seq), r); });
+      feed([&](ReliableReceiveQueue& q, auto& r) {
+        q.offer(frame(seq), now, r);
+      });
     }
     if (rng.percent(1) && lazy.nextExpected() > 0) {  // sender evicted
       const std::uint64_t through = lazy.nextExpected() + rng.next() % 8;
@@ -555,6 +735,7 @@ struct ToyReceiver {
   NodeAddr peer;
   ReliableReceiveQueue queue;
   std::vector<std::uint64_t> delivered;
+  std::vector<double> latencySec;  // delivery minus send time, per frame
 
   ToyReceiver(const ReliableConfig& cfg, ReliableStats& stats, SimTransport* tr,
               NodeAddr p)
@@ -573,9 +754,12 @@ struct ToyReceiver {
       const auto body = r.u64();
       if (!type || *type != kData || !seq || !ts || !body) continue;
       EXPECT_EQ(*body, *seq * 31);  // payload integrity through retransmits
-      queue.offer(ReliableFrame{*seq, *ts, {}}, ready);
+      queue.offer(ReliableFrame{*seq, *ts, {}}, now, ready);
     }
-    for (const ReliableFrame& f : ready) delivered.push_back(f.seq);
+    for (const ReliableFrame& f : ready) {
+      delivered.push_back(f.seq);
+      latencySec.push_back(now - f.timestamp);
+    }
     const auto missing = queue.collectNacks(now);
     if (!missing.empty()) {
       WireWriter w;
@@ -593,8 +777,12 @@ struct ToyReceiver {
   }
 };
 
+/// Sends `numSends` frames, one every 10 ms, and pumps both ends
+/// `ticksPerSend` times per send until all are delivered. `latencySec`,
+/// if given, receives each frame's delivery minus send time.
 void runSoak(double lossRate, double jitterSec, int numSends,
-             std::uint64_t seed) {
+             std::uint64_t seed, std::vector<double>* latencySec = nullptr,
+             int ticksPerSend = 1) {
   SimNetwork net(seed);
   const HostId a = net.addHost("sender");
   const HostId b = net.addHost("receiver");
@@ -613,10 +801,12 @@ void runSoak(double lossRate, double jitterSec, int numSends,
   std::uint64_t cumAcked = 0;
   int sent = 0;
   double now = 0.0;
-  const double dt = 0.01;
+  const double dt = 0.01 / ticksPerSend;
   // Send phase, then drain until everything is recovered.
-  while (receiver.delivered.size() < static_cast<std::size_t>(numSends)) {
-    if (sent < numSends) {
+  for (int tick = 0;
+       receiver.delivered.size() < static_cast<std::size_t>(numSends);
+       ++tick) {
+    if (sent < numSends && tick % ticksPerSend == 0) {
       sender.send(now);
       ++sent;
     }
@@ -638,6 +828,7 @@ void runSoak(double lossRate, double jitterSec, int numSends,
     EXPECT_GT(stats.nacksSent, 0u);
   }
   EXPECT_EQ(stats.gapsAbandoned, 0u);
+  if (latencySec != nullptr) *latencySec = receiver.latencySec;
 }
 
 // ---- Control-datagram reduction on quiet reliable links -----------------
@@ -702,6 +893,50 @@ TEST(ReliableSoak, AllFramesInOrderAt25PercentLoss) {
 
 TEST(ReliableSoak, AllFramesInOrderAt55PercentLoss) {
   runSoak(0.55, 500e-6, 250, 7);
+}
+
+double percentile(std::vector<double> v, double f) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(f * static_cast<double>(v.size() - 1))];
+}
+
+TEST(ReliableSoak, ReliableOrderTestLatencyAt55PercentLoss) {
+  // The Anger ReliableOrderTest shape: 1000 sends at 55% loss, gapless and
+  // in order, with delivery-latency percentiles bounded from the design.
+  // Both sides tick every 1 ms and a frame goes out every 10 ticks (the
+  // send step). A NACK is answered on the tick after it leaves, so a
+  // repair round trip is two ticks.
+  //  - A lost frame's hole shows when a later frame arrives: within g send
+  //    steps for a fraction 1 - loss^g of holes.
+  //  - The receiver NACKs it on that tick (nothing is reordered here).
+  //    A repeat waits one repair timeout after the hole's last NACK and
+  //    after the channel's last NACK, so repeats of a hole are less than
+  //    two kMaxNackWaitSec apart. A NACK and its repair both cross the
+  //    lossy link, so an attempt succeeds with q = (1 - loss)^2 and a
+  //    fraction 1 - (1 - q)^n of holes need at most n attempts.
+  // A hole that needs n attempts thus heals within g steps, 2(n - 1)
+  // capped repair timeouts and one round trip. The bounds take g and n
+  // each at the percentile and repeats at their widest spacing; learned
+  // repeats come a few ticks apart, which leaves room for the head-of-line
+  // wait behind earlier holes. A receiver that waits kMaxNackWaitSec
+  // before the first NACK and between NACKs misses the median bound.
+  constexpr double kLoss = 0.55;
+  constexpr double kSendStepSec = 0.01;
+  constexpr double kRoundTripSec = 0.002;
+  constexpr double q = (1 - kLoss) * (1 - kLoss);
+  const auto bound = [&](double f) {
+    const double steps = std::ceil(std::log(1 - f) / std::log(kLoss));
+    const double attempts = std::ceil(std::log(1 - f) / std::log(1 - q));
+    return steps * kSendStepSec + 2 * (attempts - 1) * kMaxNackWaitSec +
+           kRoundTripSec;
+  };
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    std::vector<double> latency;
+    runSoak(kLoss, 500e-6, 1000, seed, &latency, /*ticksPerSend=*/10);
+    ASSERT_EQ(latency.size(), 1000u);
+    EXPECT_LE(percentile(latency, 0.5), bound(0.5)) << "seed " << seed;
+    EXPECT_LE(percentile(latency, 0.99), bound(0.99)) << "seed " << seed;
+  }
 }
 
 TEST(ReliableSoak, JitterOnlyReorderingHealsWithoutAbandonment) {

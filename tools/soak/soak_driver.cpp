@@ -124,6 +124,12 @@ struct Report {
     std::uint64_t samples = 0;
   };
   Latency latency;  // whole-run delivery latency (sampling on only)
+  struct Repair {
+    bool present = false;
+    std::uint64_t spuriousNacks = 0;
+    double reorderWindowMaxMs = 0.0;
+  };
+  Repair repair;  // receiver-side NACK timing (reported, not gated)
 };
 
 std::uint64_t kvU64(const std::string& token, const std::string& key) {
@@ -213,6 +219,15 @@ void parseLine(const std::string& line, Report& r) {
       if (auto v = soak::kvToken(tok, "max")) r.latency.max = std::stod(*v);
       if (auto v = soak::kvToken(tok, "samples"))
         r.latency.samples = std::stoull(*v);
+    }
+  } else if (kind == "repair") {
+    std::string tok;
+    r.repair.present = true;
+    while (ls >> tok) {
+      if (auto v = soak::kvToken(tok, "spurious-nacks"))
+        r.repair.spuriousNacks = std::stoull(*v);
+      if (auto v = soak::kvToken(tok, "reorder-window-max-ms"))
+        r.repair.reorderWindowMaxMs = std::stod(*v);
     }
   } else if (kind == "exit") {
     std::string status;
@@ -804,6 +819,23 @@ class Driver {
         check(lat.p99 <= maxP99Ms_, what.str());
       }
       check(gated > 0, "latency gate measured at least one node");
+    }
+
+    // Spurious NACKs: information for tuning, not a gate.
+    {
+      std::uint64_t total = 0;
+      std::ostringstream perNode;
+      for (const NodeSpec& s : specs_) {
+        const Report::Repair& rep = reports[s.name].repair;
+        if (!rep.present) continue;
+        total += rep.spuriousNacks;
+        perNode << " " << s.name << "=" << rep.spuriousNacks << " ("
+                << rep.reorderWindowMaxMs << " ms)";
+      }
+      std::printf("  [INFO] spurious NACKs %llu; per node, with the widest "
+                  "reorder window:%s\n",
+                  static_cast<unsigned long long>(total),
+                  perNode.str().c_str());
     }
 
     std::printf("VERDICT: %s (%d failure%s)\n", failures_ == 0 ? "PASS" : "FAIL",

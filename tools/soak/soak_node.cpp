@@ -564,6 +564,16 @@ int run(int argc, char** argv) {
           << " recover-steps=" << governor->recoverSteps();
     out << "\n";
   }
+  // Receiver-side NACK timing: NACKs a duplicate showed unnecessary, and
+  // the widest reorder window any reliable in-channel learned. The driver
+  // reports both and gates neither.
+  {
+    double windowSec = 0.0;
+    for (const core::CbChannelHealth& c : cb.channelHealth())
+      if (!c.outbound) windowSec = std::max(windowSec, c.reorderWindowSec);
+    out << "repair spurious-nacks=" << cb.stats().reliable.spuriousNacks
+        << " reorder-window-max-ms=" << windowSec * 1e3 << "\n";
+  }
   // Whole-run delivery-latency percentiles (milliseconds) from this
   // node's own cumulative histogram — what the driver's --max-p99-ms
   // verdict judges. Only present when sampling was on and produced data.
