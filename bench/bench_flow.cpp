@@ -1,8 +1,9 @@
 // Flow-control benchmarks: what the adaptive machinery added for the
 // byte-budgeted send windows costs when armed but idle (the common case —
-// a healthy rack never hits its budget), what each overflow policy does
-// when a window actually fills, what a split per-channel window adds to
-// the fan-out loop, and how cheap the best-effort thinning fast path is.
+// a healthy rack never hits its budget), what evicting the oldest frame
+// costs when a window actually fills, what a split per-channel window
+// adds to the fan-out loop, and how cheap the best-effort thinning fast
+// path is.
 // BENCH_flow.json is a required baseline in bench/run_all.sh.
 
 #include <benchmark/benchmark.h>
@@ -97,7 +98,7 @@ struct FanOutRig {
 /// The armed-but-idle case: a byte budget on the shared window that a
 /// healthy (regularly acked) stream never reaches. The delta against
 /// bench_reliable's BM_FanOutSendOnlyReliable is the whole price of the
-/// wouldOverflow gate plus bytes accounting on the hot path.
+/// byte-budget check and bytes accounting on the hot path.
 void BM_FanOutBudgetedIdle(benchmark::State& state) {
   const std::uint32_t fan = static_cast<std::uint32_t>(state.range(0));
   core::CommunicationBackbone::Config cfg;
@@ -122,37 +123,19 @@ void BM_FanOutBudgetedIdle(benchmark::State& state) {
 }
 
 /// A window pinned at its byte budget with no acks arriving: every update
-/// pays the policy. kEvictOldest drops the oldest frame to admit the new
-/// one; kDegradeLatestValue additionally advertises the skip so
-/// subscribers resync forward; kBlockPublisher refuses the update
-/// outright (the cheapest possible outcome — one wouldOverflow check).
-void overflowedUpdates(benchmark::State& state, net::OverflowPolicy policy) {
+/// evicts the oldest frame to admit the new one.
+void BM_OverflowEvictOldest(benchmark::State& state) {
   core::CommunicationBackbone::Config cfg;
   cfg.reliable.sendWindowBytes = 4096;
   FanOutRig rig(1, net::QosClass::kReliableOrdered, cfg);
-  rig.cb->setPublicationOverflowPolicy(rig.h, policy);
   const core::AttributeSet attrs = sampleAttrs();
   double t = 0.0;
-  std::uint64_t accepted = 0;
   for (auto _ : state) {
-    if (rig.cb->updateAttributeValues(rig.h, attrs, t)) ++accepted;
+    rig.cb->updateAttributeValues(rig.h, attrs, t);
     t += 1e-6;
   }
-  const auto& rs = rig.cb->stats().reliable;
-  state.counters["accepted"] = static_cast<double>(accepted);
-  state.counters["evictions"] = static_cast<double>(rs.sendWindowEvictions);
-  state.counters["blocked"] = static_cast<double>(rs.updatesBlocked);
-  state.counters["degradeSkips"] = static_cast<double>(rs.degradeSkipsSent);
-}
-
-void BM_OverflowEvictOldest(benchmark::State& state) {
-  overflowedUpdates(state, net::OverflowPolicy::kEvictOldest);
-}
-void BM_OverflowDegradeLatest(benchmark::State& state) {
-  overflowedUpdates(state, net::OverflowPolicy::kDegradeLatestValue);
-}
-void BM_OverflowBlockPublisher(benchmark::State& state) {
-  overflowedUpdates(state, net::OverflowPolicy::kBlockPublisher);
+  state.counters["evictions"] =
+      static_cast<double>(rig.cb->stats().reliable.sendWindowEvictions);
 }
 
 /// Fan-out with one channel split onto its own retransmit window (every
@@ -243,8 +226,6 @@ void BM_AdaptiveMidTickFlush(benchmark::State& state) {
 
 BENCHMARK(BM_FanOutBudgetedIdle)->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK(BM_OverflowEvictOldest);
-BENCHMARK(BM_OverflowDegradeLatest);
-BENCHMARK(BM_OverflowBlockPublisher);
 BENCHMARK(BM_FanOutOneSplitChannel)->Arg(2)->Arg(8);
 BENCHMARK(BM_ThinnedBestEffortFanOut)->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK(BM_AdaptiveMidTickFlush)->Arg(4096)->Arg(65536);

@@ -360,24 +360,13 @@ void CommunicationBackbone::unregisterOutChannel(const net::NodeAddr& remote,
     outChannelIndex_.erase(it);
 }
 
-bool CommunicationBackbone::updateAttributeValues(PublicationHandle h,
+void CommunicationBackbone::updateAttributeValues(PublicationHandle h,
                                                   const AttributeSet& attrs,
                                                   double timestamp) {
   PublicationEntry* pub = findPublication(h);
   if (pub == nullptr)
     throw std::invalid_argument("updateAttributeValues: unknown publication");
-  return update(*pub, attrs, timestamp);
-}
-
-void CommunicationBackbone::setPublicationOverflowPolicy(
-    PublicationHandle h, net::OverflowPolicy policy) {
-  PublicationEntry* pub = findPublication(h);
-  if (pub == nullptr)
-    throw std::invalid_argument("setPublicationOverflowPolicy: unknown handle");
-  pub->overflowPolicy = policy;
-  if (pub->retx) pub->retx->setOverflowPolicy(policy);
-  for (OutChannel& ch : pub->channels)
-    if (ch.splitRetx) ch.splitRetx->setOverflowPolicy(policy);
+  update(*pub, attrs, timestamp);
 }
 
 void CommunicationBackbone::setPublicationThinningExempt(PublicationHandle h,

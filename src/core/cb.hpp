@@ -180,10 +180,6 @@ class CommunicationBackbone {
     /// A channel with no traffic or heartbeat for this long is dropped and
     /// (on the subscriber side) rediscovery resumes.
     double channelTimeoutSec = 3.0;
-    /// Same-CB publisher→subscriber delivery without touching the network.
-    bool localFastPath = true;
-    /// Per-subscription mailbox capacity; oldest entries drop on overflow.
-    std::size_t mailboxLimit = 1024;
     /// Push reflections to LogicalProcess::reflectAttributeValues on tick.
     /// (Pull via poll()/latest() works in either mode.)
     bool pushDelivery = true;
@@ -222,10 +218,9 @@ class CommunicationBackbone {
     /// byte-identical to a trace-free build.
     std::uint32_t traceSampleEvery = 0;
     /// Tick-phase profiler: time each tick's poll/decode, route, timer,
-    /// stage and flush phases into phaseHistograms(), shipped as
-    /// telemetry wire v5. Off (the default) costs nothing — no clock
-    /// reads — and keeps the telemetry record on the v4 layout,
-    /// byte-identical to an unprofiled build.
+    /// stage and flush phases into phaseHistograms(), shipped as the
+    /// telemetry record's phase block. Off (the default) costs nothing —
+    /// no clock reads — and leaves the block out of the record.
     bool phaseProfile = false;
   };
 
@@ -268,20 +263,10 @@ class CommunicationBackbone {
   void unsubscribe(SubscriptionHandle h);
 
   /// HLA service: push one update through every virtual channel linked to
-  /// this publication (plus the local fast path). Returns false iff the
-  /// publication's send window is byte-budgeted with
-  /// OverflowPolicy::kBlockPublisher and full — nothing was sent or
-  /// delivered and the caller should retry later. Every other
-  /// configuration always returns true (callers that predate the flow
-  /// control may ignore the result).
-  bool updateAttributeValues(PublicationHandle h, const AttributeSet& attrs,
+  /// this publication, and to same-CB subscribers directly (the local fast
+  /// path, §2.1: one or many LPs can run on a computer).
+  void updateAttributeValues(PublicationHandle h, const AttributeSet& attrs,
                              double timestamp);
-
-  /// Override the overflow policy for one publication's send window
-  /// (applies to its shared window and any split per-channel windows;
-  /// Config::reliable.overflowPolicy is the default).
-  void setPublicationOverflowPolicy(PublicationHandle h,
-                                    net::OverflowPolicy policy);
 
   /// Telemetry-closed backpressure hook: thin best-effort updates toward
   /// `peer` to `factor` (fraction actually sent, clamped to [0, 1]; 1
@@ -348,7 +333,7 @@ class CommunicationBackbone {
   /// sizes and retransmit delay.
   const telemetry::CbHistograms& histograms() const { return hists_; }
 
-  /// Per-phase tick histograms (telemetry record v5). All-zero unless
+  /// Per-phase tick histograms (the telemetry phase block). All-zero unless
   /// Config::phaseProfile.
   const telemetry::TickPhaseHistograms& phaseHistograms() const {
     return phaseHists_;
@@ -458,7 +443,7 @@ class CommunicationBackbone {
 
   // --- data plane and table upkeep (core/routing.cpp) ---
   /// The body of updateAttributeValues for a known publication.
-  bool update(PublicationEntry& pub, const AttributeSet& attrs,
+  void update(PublicationEntry& pub, const AttributeSet& attrs,
               double timestamp);
   void removeInChannel(std::uint32_t channelId, bool sendBye);
   /// Link `pub` to every same-class subscription on this CB.
@@ -493,10 +478,6 @@ class CommunicationBackbone {
   /// (ReliableConfig::perChannelWindowSplit; no-op when off). Returns
   /// true if it split or merged a window.
   bool runWindowSplitTimer(PublicationEntry& pub, double now);
-  /// kDegradeLatestValue: proactively advertise publisher-side skips to
-  /// channels whose serving window evicted past their cumulative ack,
-  /// without waiting for a NACK round trip.
-  void advertiseDegradeSkips(PublicationEntry& pub);
   /// Prune (or drop) a publication's retransmit window after acks or
   /// channel departures.
   static void compactSendWindow(PublicationEntry& pub);

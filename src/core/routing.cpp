@@ -31,7 +31,7 @@ PublicationHandle CommunicationBackbone::publishObjectClass(
   auto [it, _] = publications_.emplace(e.id, std::move(e));
   pubsByClass_[className].push_back(it->first);
   ++pubWalk_.generation;
-  if (cfg_.localFastPath) matchLocal(it->second);
+  matchLocal(it->second);
   return it->first;
 }
 
@@ -47,15 +47,13 @@ SubscriptionHandle CommunicationBackbone::subscribeObjectClass(
   auto [it, _] = subscriptions_.emplace(e.id, std::move(e));
   subsByClass_[className].push_back(it->first);
   ++subWalk_.generation;
-  if (cfg_.localFastPath) {
-    const auto ci = pubsByClass_.find(className);
-    if (ci != pubsByClass_.end()) {
-      for (const PublicationHandle ph : ci->second) {
-        PublicationEntry& pub = publications_.find(ph)->second;
-        if (std::find(pub.localSubscribers.begin(), pub.localSubscribers.end(),
-                      it->first) == pub.localSubscribers.end()) {
-          pub.localSubscribers.push_back(it->first);
-        }
+  const auto ci = pubsByClass_.find(className);
+  if (ci != pubsByClass_.end()) {
+    for (const PublicationHandle ph : ci->second) {
+      PublicationEntry& pub = publications_.find(ph)->second;
+      if (std::find(pub.localSubscribers.begin(), pub.localSubscribers.end(),
+                    it->first) == pub.localSubscribers.end()) {
+        pub.localSubscribers.push_back(it->first);
       }
     }
   }
@@ -155,7 +153,7 @@ void CommunicationBackbone::wake(double& due, double now) {
 void CommunicationBackbone::enqueueReflection(SubscriptionEntry& sub,
                                               Reflection r) {
   sub.latest = r;
-  if (sub.mailbox.size() >= cfg_.mailboxLimit) {
+  if (sub.mailbox.size() >= kMailboxLimit) {
     sub.mailbox.pop_front();
     ++stats_.mailboxOverflows;
   }
@@ -213,7 +211,6 @@ void CommunicationBackbone::handleAcknowledge(const AcknowledgeMsg& m,
   const std::uint32_t channelId = ch.channelId;
   inChannels_.emplace(channelId, std::move(ch));
   ++inWalk_.generation;
-  sub.everAcknowledged = true;
   stageSend(src, encode(connect));
 }
 
@@ -248,8 +245,6 @@ void CommunicationBackbone::handleChannelConnection(
       pub.retx = std::make_unique<net::ReliableSendWindow>(cfg_.reliable,
                                                            stats_.reliable);
       pub.retx->attachRetransmitDelayHistogram(&hists_.retransmitDelaySec);
-      if (pub.overflowPolicy)
-        pub.retx->setOverflowPolicy(*pub.overflowPolicy);
     }
     pub.channels.push_back(std::move(ch));
     existing = std::prev(pub.channels.end());
@@ -426,7 +421,6 @@ void CommunicationBackbone::splitChannelWindow(PublicationEntry& pub,
                                                OutChannel& ch, double now) {
   ch.splitRetx = std::make_unique<net::ReliableSendWindow>(cfg_.reliable,
                                                            stats_.reliable);
-  ch.splitRetx->setOverflowPolicy(pub.retx->overflowPolicy());
   // Seed with everything the laggard might still need. Seeding stamps
   // lastSentSec = now, which defers each frame's next tail-RTO by one
   // timeout — cheaper than carrying per-frame timers across, and the
@@ -490,23 +484,6 @@ bool CommunicationBackbone::runWindowSplitTimer(PublicationEntry& pub,
     }
   }
   return reshaped;
-}
-
-void CommunicationBackbone::advertiseDegradeSkips(PublicationEntry& pub) {
-  for (OutChannel& ch : pub.channels) {
-    if (ch.qos != net::QosClass::kReliableOrdered || !ch.qosConfirmed)
-      continue;
-    net::ReliableSendWindow* w = windowFor(pub, ch);
-    if (w == nullptr || w->overflowPolicy() !=
-                            net::OverflowPolicy::kDegradeLatestValue)
-      continue;
-    const std::uint64_t evicted = w->highestEvicted();
-    if (evicted <= ch.cumAcked || evicted <= ch.lastSkipAdvertised) continue;
-    stageToChannel(ch, encode(WindowAckMsg{ch.remoteChannelId, evicted,
-                                           /*fromPublisher=*/true}));
-    ch.lastSkipAdvertised = evicted;
-    ++stats_.reliable.degradeSkipsSent;
-  }
 }
 
 void CommunicationBackbone::deliverReliableReady(
@@ -716,7 +693,7 @@ void CommunicationBackbone::removeInChannel(std::uint32_t channelId,
   ++inWalk_.generation;
 }
 
-bool CommunicationBackbone::update(PublicationEntry& pub,
+void CommunicationBackbone::update(PublicationEntry& pub,
                                    const AttributeSet& attrs,
                                    double timestamp) {
   const std::uint64_t seq = pub.nextSeq;
@@ -727,8 +704,7 @@ bool CommunicationBackbone::update(PublicationEntry& pub,
     // channels, so fan-out patches it in place instead of re-encoding the
     // whole payload per channel. The attribute set is encoded straight
     // into the reusable frame (no intermediate payload vector), so the
-    // steady-state hot path is allocation-free. Encoding precedes the
-    // fast path because the kBlockPublisher gate needs the frame's size.
+    // steady-state hot path is allocation-free.
     net::WireWriter w(std::move(updateFrame_));
     const std::size_t blobStart = beginUpdateFrame(w, seq, timestamp);
     attrs.encodeInto(w);
@@ -742,16 +718,6 @@ bool CommunicationBackbone::update(PublicationEntry& pub,
               seq % cfg_.traceSampleEvery == 0;
     if (sampled) appendUpdateTraceTag(w, now_);
     updateFrame_ = w.take();
-    if (pub.retx &&
-        pub.retx->overflowPolicy() == net::OverflowPolicy::kBlockPublisher &&
-        pub.retx->wouldOverflow(updateFrame_.size())) {
-      // Refused before the sequence number is consumed or anything is
-      // delivered (local subscribers included — they must not run ahead
-      // of a stream the publisher will retry). Split laggards do not
-      // block: the gate watches only the shared window.
-      ++stats_.reliable.updatesBlocked;
-      return false;
-    }
   }
   pub.nextSeq = seq + 1;
 
@@ -821,9 +787,7 @@ bool CommunicationBackbone::update(PublicationEntry& pub,
         ch.maxSentSeq = seq;
       }
     }
-    if (pub.retx) advertiseDegradeSkips(pub);
   }
-  return true;
 }
 
 void CommunicationBackbone::setPeerSendFactor(const net::NodeAddr& peer,
@@ -849,11 +813,6 @@ void CommunicationBackbone::subscriptionTimer(SubscriptionEntry& sub,
   const auto bytes = encode(msg);
   transport_->broadcast(address().port, bytes);
   ++stats_.broadcastsSent;
-  if (!cfg_.localFastPath) {
-    // A socket does not hear its own broadcast; feed it back so two LPs
-    // on one computer still connect when the fast path is disabled.
-    handleSubscription(msg, address());
-  }
   sub.nextBroadcast = now + (hasLive ? cfg_.refreshIntervalSec
                                      : cfg_.broadcastIntervalSec);
 }

@@ -4,6 +4,7 @@
 // that reads and writes these lives in core/routing.cpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -30,6 +31,10 @@ inline constexpr std::uint32_t kNoBatchSlot = 0xFFFFFFFFu;
 
 /// Initial `timerDue` of a new entry: its timer runs on the next tick.
 inline constexpr double kTimerDueNow = -std::numeric_limits<double>::infinity();
+
+/// Per-subscription mailbox capacity: a full mailbox drops its oldest
+/// reflection to admit the newest (CbStats::mailboxOverflows).
+inline constexpr std::size_t kMailboxLimit = 1024;
 
 /// One delivered attribute update, as seen by a subscriber.
 struct Reflection {
@@ -92,8 +97,8 @@ struct OutChannel {
   double caughtUpSinceSec = -1.0;
   /// Telemetry-closed backpressure: fraction of best-effort updates
   /// actually sent to this peer (1 = all). Reliable channels are never
-  /// thinned — their ordering contract is protected by the overflow
-  /// policy and the window split instead. `thinDebt` accumulates
+  /// thinned — the byte-budgeted send window and the window split bound
+  /// what a slow peer costs them instead. `thinDebt` accumulates
   /// (1 - sendFactor) per update and skips one when it reaches 1, so
   /// any factor thins evenly rather than in bursts.
   double sendFactor = 1.0;
@@ -102,10 +107,6 @@ struct OutChannel {
   /// WINDOW_ACK dup block (high-water mark; reports are cumulative so
   /// a lost one heals on the next).
   std::uint64_t dupReported = 0;
-  /// Highest publisher-side skip already advertised to this channel by
-  /// the kDegradeLatestValue eviction path (avoids re-advertising the
-  /// same skip every update).
-  std::uint64_t lastSkipAdvertised = 0;
 };
 
 /// One publication-table entry.
@@ -121,11 +122,6 @@ struct PublicationEntry {
   /// publication (frames differ only in the patched channel id).
   /// Allocated on the first reliable channel.
   std::unique_ptr<net::ReliableSendWindow> retx;
-  /// Per-publication overflow-policy override
-  /// (CommunicationBackbone::setPublicationOverflowPolicy); unset means
-  /// Config::reliable.overflowPolicy. Remembered here so a window
-  /// allocated after the override call still honors it.
-  std::optional<net::OverflowPolicy> overflowPolicy;
   /// Exempt from per-peer backpressure thinning
   /// (CommunicationBackbone::setPublicationThinningExempt). Control-plane
   /// streams — telemetry above all — must keep flowing to a struggling
@@ -183,7 +179,6 @@ struct SubscriptionEntry {
   LpId lp = 0;
   std::string className;
   net::QosClass qos = net::QosClass::kBestEffort;  // requested per channel
-  bool everAcknowledged = false;
   double nextBroadcast = 0.0;
   std::deque<Reflection> mailbox;
   std::optional<Reflection> latest;

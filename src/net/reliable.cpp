@@ -15,30 +15,7 @@ double measured(double sec) { return std::round(sec * 1e6) * 1e-6; }
 
 }  // namespace
 
-const char* qosName(QosClass q) {
-  switch (q) {
-    case QosClass::kBestEffort: return "best-effort";
-    case QosClass::kReliableOrdered: return "reliable-ordered";
-  }
-  return "?";
-}
-
-const char* overflowPolicyName(OverflowPolicy p) {
-  switch (p) {
-    case OverflowPolicy::kEvictOldest: return "evict-oldest";
-    case OverflowPolicy::kBlockPublisher: return "block-publisher";
-    case OverflowPolicy::kDegradeLatestValue: return "degrade-latest-value";
-  }
-  return "?";
-}
-
 // ---- ReliableSendWindow -------------------------------------------------
-
-bool ReliableSendWindow::wouldOverflow(std::size_t frameBytes) const {
-  if (frames_.size() + 1 > cfg_->sendWindowFrames) return true;
-  return cfg_->sendWindowBytes != 0 &&
-         bytesBuffered_ + frameBytes > cfg_->sendWindowBytes;
-}
 
 void ReliableSendWindow::evictOldest() {
   highestEvicted_ = std::max(highestEvicted_, frames_.begin()->first);
@@ -56,9 +33,6 @@ void ReliableSendWindow::store(std::uint64_t seq,
   frames_[seq] = std::move(e);
   highestStored_ = std::max(highestStored_, seq);
   ++stats_->framesBuffered;
-  // Both evicting policies trim here; kBlockPublisher never reaches an
-  // over-budget store (the caller gates on wouldOverflow), but trimming
-  // unconditionally keeps the invariant even if it does.
   while (frames_.size() > cfg_->sendWindowFrames) evictOldest();
   if (cfg_->sendWindowBytes != 0) {
     // Never evict down to nothing: the newest frame stays even when it is

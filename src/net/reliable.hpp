@@ -47,28 +47,6 @@ enum class QosClass : std::uint8_t {
   kReliableOrdered = 1,  // every update delivered, in publication order
 };
 
-const char* qosName(QosClass q);
-
-/// What a byte-budgeted send window does when storing one more frame
-/// would overrun its budget.
-enum class OverflowPolicy : std::uint8_t {
-  /// Evict the oldest buffered frame (the seed behavior): receivers that
-  /// still miss it are told to skip, so overflow degrades to counted
-  /// loss instead of livelock.
-  kEvictOldest = 0,
-  /// Refuse the update: updateAttributeValues returns false and the
-  /// publisher must retry later. Nothing is ever dropped, at the price
-  /// of head-of-line blocking the publisher itself.
-  kBlockPublisher = 1,
-  /// Evict the oldest frame AND proactively advertise the skip to every
-  /// subscriber (publisher-side WINDOW_ACK), without waiting for a NACK
-  /// round trip — the right trade for latest-value-semantics classes
-  /// where a stale update is worthless the moment a newer one exists.
-  kDegradeLatestValue = 2,
-};
-
-const char* overflowPolicyName(OverflowPolicy p);
-
 /// The earliest clock value at which `now - since >= interval` can hold:
 /// the deadline form of the interval checks the reliable layer and the CB
 /// timers make. It is a few ulps early, so that floating-point rounding
@@ -106,13 +84,9 @@ struct ReliableConfig {
   /// Retransmit buffer cap in payload BYTES per window (0 = no byte
   /// budget, the seed behavior). Frame counts are a poor proxy for memory
   /// and for how long a laggard can pin the window when update sizes vary
-  /// by 100x across classes; the byte budget bounds the real cost. What
-  /// happens at the budget is overflowPolicy's call.
+  /// by 100x across classes; the byte budget bounds the real cost. At the
+  /// budget the oldest frames are evicted, as at the frame cap.
   std::size_t sendWindowBytes = 0;
-  /// Policy applied when a store would overrun sendWindowFrames /
-  /// sendWindowBytes. Per-publication overrides go through
-  /// ReliableSendWindow::setOverflowPolicy.
-  OverflowPolicy overflowPolicy = OverflowPolicy::kEvictOldest;
   /// Per-channel window split: a subscriber whose cumulative ack lags the
   /// shared window by splitLagFrames for splitSustainSec gets its own
   /// private send window, so it stops pinning the frames every healthy
@@ -155,12 +129,6 @@ struct ReliableStats {
   std::uint64_t duplicatesDropped = 0;   // receiver: seq already delivered
   std::uint64_t reorderOverflows = 0;    // receiver: buffer cap hit
   std::uint64_t gapsAbandoned = 0;       // receiver: skipped on sender's order
-  /// Sender: updates refused under OverflowPolicy::kBlockPublisher (the
-  /// publisher saw updateAttributeValues return false).
-  std::uint64_t updatesBlocked = 0;
-  /// Sender: proactive skip advertisements staged by the
-  /// kDegradeLatestValue eviction path (one per channel per advance).
-  std::uint64_t degradeSkipsSent = 0;
   /// Sender: per-channel window splits and re-merges.
   std::uint64_t windowSplits = 0;
   std::uint64_t windowMerges = 0;
@@ -199,22 +167,12 @@ struct ReliableFrame {
 class ReliableSendWindow {
  public:
   ReliableSendWindow(const ReliableConfig& cfg, ReliableStats& stats)
-      : cfg_(&cfg), stats_(&stats), policy_(cfg.overflowPolicy) {}
+      : cfg_(&cfg), stats_(&stats) {}
 
   /// Buffer one encoded frame (copies; the live frame buffer is reused by
   /// the caller). Evicts the oldest frames beyond the frame cap and, when
   /// a byte budget is configured, beyond the byte budget.
   void store(std::uint64_t seq, std::vector<std::uint8_t> frame, double now);
-
-  /// Would storing a frame of `frameBytes` overrun the window's frame cap
-  /// or byte budget? The kBlockPublisher policy asks this BEFORE encoding
-  /// and consuming a sequence number; the evicting policies never ask.
-  bool wouldOverflow(std::size_t frameBytes) const;
-
-  /// Per-window policy override (publications can choose; the config
-  /// default applies until this is called).
-  void setOverflowPolicy(OverflowPolicy p) { policy_ = p; }
-  OverflowPolicy overflowPolicy() const { return policy_; }
 
   /// The stored frame for `seq`, or null if never stored / already
   /// pruned / evicted. Mutable so the caller can patch the channel id in
@@ -291,7 +249,6 @@ class ReliableSendWindow {
   std::uint64_t highestEvicted_ = 0;
   std::uint64_t highestStored_ = 0;
   std::size_t bytesBuffered_ = 0;
-  OverflowPolicy policy_ = OverflowPolicy::kEvictOldest;
 };
 
 /// Receiver half: gap detection, NACK scheduling and in-order release for

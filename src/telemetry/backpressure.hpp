@@ -14,8 +14,8 @@
 //
 // Only best-effort (newest-wins) channels are thinned: skipping one of
 // those updates is exactly the QoS contract (the next update supersedes
-// it), while a reliable stream's ordering contract is protected by the
-// overflow policy and the per-channel window split instead
+// it), while what a slow peer costs a reliable stream is bounded by the
+// byte-budgeted send window and the per-channel window split instead
 // (net/reliable.hpp).
 //
 // The response is stepped with hysteresis, mirroring the alarm feed's

@@ -117,8 +117,8 @@ struct CbHistograms {
 };
 
 /// The measured phases one CommunicationBackbone::tick splits into when
-/// Config::phaseProfile is on. Fixed wire order (telemetry v5 phase
-/// block) — append-only, like the counter table.
+/// Config::phaseProfile is on. Fixed wire order (telemetry phase block)
+/// — append-only, like the counter table.
 enum class TickPhase : std::size_t {
   kPollDecode = 0,  // transport receive loop minus routing time
   kRoute = 1,       // dispatchMessage: decode routing + table updates
@@ -131,7 +131,7 @@ inline constexpr std::size_t kTickPhaseCount = 5;
 
 /// Per-phase wall-clock histograms, one set per CommunicationBackbone.
 /// All share one lowest bound (phases are all sub-tick durations) so the
-/// v5 phase block needs no per-phase bound on the wire.
+/// phase block needs no per-phase bound on the wire.
 struct TickPhaseHistograms {
   static constexpr double kLowest = 1e-7;
 

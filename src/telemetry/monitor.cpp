@@ -276,7 +276,7 @@ void HealthMonitor::deriveRates(NodeState& st, const NodeTelemetry& prev,
 
   // Per-phase interval p99s and the hot phase (where the interval's tick
   // time actually went — judged by summed duration, not p99, so one
-  // outlier doesn't crown a quiet phase) from the v5 phase block.
+  // outlier doesn't crown a quiet phase) from the phase block.
   h.phaseP99Ms.fill(0.0);
   h.hotPhase = -1;
   if (cur.phaseProfiling) {
@@ -545,7 +545,8 @@ std::string HealthMonitor::renderTable() const {
   // which observable their deployment actually has. p99ms is the interval
   // delivery-latency p99 from the v3 histogram block (0.0 until sampled
   // updates flow). The hot column (the phase most interval tick time went
-  // to, v5 phase block) appears only when some node runs the profiler.
+  // to, from the phase block) appears only when some node runs the
+  // profiler.
   //
   // Column widths are computed from content: a long node name widens its
   // column instead of shearing every figure out of alignment.

@@ -173,7 +173,7 @@ struct NodeHealth {
   double latencyMaxMs = 0.0;
   std::uint64_t latencySamples = 0;  // samples in that interval
   /// Interval p99 (milliseconds) of each tick phase, TickPhase order,
-  /// from diffing the node's v5 phase histograms between snapshots.
+  /// from diffing the node's phase histograms between snapshots.
   /// All-zero for nodes not running the phase profiler.
   std::array<double, kTickPhaseCount> phaseP99Ms{};
   /// The phase the node spent most interval time in

@@ -37,7 +37,7 @@ constexpr std::array kCounterFields{
     COD_COUNTER("cb.malformedDrops", cb.malformedDrops),
     COD_COUNTER("cb.channelsTimedOut", cb.channelsTimedOut),
     COD_COUNTER("cb.mailboxOverflows", cb.mailboxOverflows),
-    // v4: flow control / backpressure.
+    // Flow control / backpressure.
     COD_COUNTER("cb.updatesThinned", cb.updatesThinned),
     COD_COUNTER("reliable.framesBuffered", cb.reliable.framesBuffered),
     COD_COUNTER("reliable.framesPruned", cb.reliable.framesPruned),
@@ -56,9 +56,7 @@ constexpr std::array kCounterFields{
     COD_COUNTER("reliable.duplicatesDropped", cb.reliable.duplicatesDropped),
     COD_COUNTER("reliable.reorderOverflows", cb.reliable.reorderOverflows),
     COD_COUNTER("reliable.gapsAbandoned", cb.reliable.gapsAbandoned),
-    // v4: flow control / backpressure.
-    COD_COUNTER("reliable.updatesBlocked", cb.reliable.updatesBlocked),
-    COD_COUNTER("reliable.degradeSkipsSent", cb.reliable.degradeSkipsSent),
+    // Flow control / backpressure.
     COD_COUNTER("reliable.windowSplits", cb.reliable.windowSplits),
     COD_COUNTER("reliable.windowMerges", cb.reliable.windowMerges),
     COD_COUNTER("reliable.peerDuplicatesReported",
@@ -72,7 +70,7 @@ constexpr std::array kCounterFields{
     COD_COUNTER("batch.datagramsUnpacked", cb.batch.datagramsUnpacked),
     COD_COUNTER("batch.framesUnpacked", cb.batch.framesUnpacked),
     COD_COUNTER("batch.peerSlotsReclaimed", cb.batch.peerSlotsReclaimed),
-    // v4: flow control / backpressure.
+    // Flow control / backpressure.
     COD_COUNTER("batch.adaptiveFlushes", cb.batch.adaptiveFlushes),
     COD_COUNTER("transport.packetsSent", transport.packetsSent),
     COD_COUNTER("transport.bytesSent", transport.bytesSent),
@@ -87,6 +85,7 @@ constexpr std::array kCounterFields{
 #undef COD_COUNTER
 
 constexpr std::uint8_t kFlagDelta = 0x01;
+constexpr std::uint8_t kFlagPhases = 0x02;
 
 /// Channel flags byte: direction, QoS and liveness packed together.
 constexpr std::uint8_t kChanOutbound = 0x01;
@@ -95,11 +94,8 @@ constexpr std::uint8_t kChanLive = 0x04;
 
 void encodeHeader(net::WireWriter& w, const NodeTelemetry& t,
                   std::uint8_t flags) {
-  // The phase-profiler block is the only v4 -> v5 delta, so a record
-  // without phase data IS a v4 record — byte-identical to what a v4
-  // encoder emits. Mixed clusters interop as long as profiling nodes'
-  // monitors are current.
-  w.u8(t.phaseProfiling ? kTelemetryVersion : kTelemetryVersionPhaseless);
+  if (t.phaseProfiling) flags |= kFlagPhases;
+  w.u8(kTelemetryVersion);
   w.u8(flags);
   w.u64(t.seq);
   w.str(t.node);
@@ -204,10 +200,10 @@ bool decodeHistograms(net::WireReader& r, NodeTelemetry& t,
   return true;
 }
 
-// ---- v5 tick-phase block -------------------------------------------------
+// ---- Tick-phase block ----------------------------------------------------
 //
 // Same sparse layout as the v3 histogram block, kTickPhaseCount entries
-// in TickPhase order. Present iff the record's version byte is 5.
+// in TickPhase order. Present iff the header's kFlagPhases bit is set.
 
 void encodePhases(net::WireWriter& w, const NodeTelemetry& t,
                   const NodeTelemetry* base) {
@@ -220,7 +216,7 @@ void encodePhases(net::WireWriter& w, const NodeTelemetry& t,
 bool decodePhases(net::WireReader& r, NodeTelemetry& t,
                   const NodeTelemetry* base) {
   const auto count = r.u16();
-  // v5 defines the phase set exactly, like the v3 histogram set.
+  // The version defines the phase set exactly, like the histogram set.
   if (!count || *count != kTickPhaseCount) return false;
   for (std::size_t i = 0; i < kTickPhaseCount; ++i) {
     if (!decodeHistogram(r, t.phases[i],
@@ -349,9 +345,8 @@ std::optional<TelemetryHeader> peekTelemetryHeader(
   const auto version = r.u8();
   const auto flags = r.u8();
   if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion && *version != kTelemetryVersionPhaseless)
-    return std::nullopt;
-  if ((*flags & ~kFlagDelta) != 0) return std::nullopt;
+  if (*version != kTelemetryVersion) return std::nullopt;
+  if ((*flags & ~(kFlagDelta | kFlagPhases)) != 0) return std::nullopt;
   const auto seq = r.u64();
   auto node = r.str();
   const auto host = r.u32();
@@ -377,11 +372,10 @@ std::optional<NodeTelemetry> decodeTelemetry(
   const auto version = r.u8();
   const auto flags = r.u8();
   if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion && *version != kTelemetryVersionPhaseless)
-    return std::nullopt;
-  if ((*flags & ~kFlagDelta) != 0) return std::nullopt;
+  if (*version != kTelemetryVersion) return std::nullopt;
+  if ((*flags & ~(kFlagDelta | kFlagPhases)) != 0) return std::nullopt;
   const bool delta = (*flags & kFlagDelta) != 0;
-  const bool hasPhases = *version == kTelemetryVersion;
+  const bool hasPhases = (*flags & kFlagPhases) != 0;
 
   NodeTelemetry t;
   const auto seq = r.u64();
@@ -405,16 +399,19 @@ std::optional<NodeTelemetry> decodeTelemetry(
     t.transport = base->transport;
     const auto changed = r.u16();
     if (!changed) return std::nullopt;
+    std::uint16_t lastIdx = 0;
     for (std::uint16_t i = 0; i < *changed; ++i) {
       const auto idx = r.u16();
       const auto value = r.u64();
       if (!idx || !value) return std::nullopt;
       if (*idx >= kCounterFields.size()) return std::nullopt;
+      if (i > 0 && *idx <= lastIdx) return std::nullopt;  // must ascend
+      lastIdx = *idx;
       setCounterValue(t, *idx, *value);
     }
   } else {
     const auto count = r.u16();
-    // Version 1 defines the counter table exactly; a keyframe claiming a
+    // The version defines the counter table exactly; a keyframe claiming a
     // different size is from no encoder of this version.
     if (!count || *count != kCounterFields.size()) return std::nullopt;
     for (std::size_t i = 0; i < kCounterFields.size(); ++i) {

@@ -36,26 +36,11 @@ namespace cod::telemetry {
 
 /// Wire-format version, first byte of every record. Decoders reject
 /// anything else (a mixed-version cluster must fail loudly, not
-/// misinterpret counters).
-/// v2: reliable.dataFramesSent joined the counter table (the sender-side
-/// denominator of the real-socket loss estimate).
-/// v3: histogram block (delivery latency, tick duration, flush size,
-/// retransmit delay — sparse buckets, delta-encoded like the counters)
-/// and the table-load block appended after the channel list.
-/// v4: flow-control counters joined the table — cb.updatesThinned,
-/// reliable.{updatesBlocked, degradeSkipsSent, windowSplits,
-/// windowMerges, peerDuplicatesReported} and batch.adaptiveFlushes.
-/// v5: tick-phase profiler block (kTickPhaseCount sparse histograms,
-/// same encoding as the v3 block) appended after the table-load block.
-/// A node with the profiler OFF (`Config::phaseProfile == false`, the
-/// default) still emits version 4 — byte-identical to a v4 peer — so v5
-/// is only on the wire when there is phase data to carry. Decoders
-/// accept both.
-/// v6: retired. Decoders reject it, and the number is never reused.
-inline constexpr std::uint8_t kTelemetryVersion = 5;
-/// The version emitted (and still accepted) when the phase profiler is
-/// off: the v4 layout, unchanged.
-inline constexpr std::uint8_t kTelemetryVersionPhaseless = 4;
+/// misinterpret counters). Version 7 is the 48-row counter table, with
+/// the tick-phase block present iff flags bit 0x02 is set. Versions 1–6
+/// are retired (docs/WIRE.md keeps their history), and their numbers are
+/// never reused.
+inline constexpr std::uint8_t kTelemetryVersion = 7;
 
 /// Reserved object class the publishers publish on and monitors subscribe
 /// to — "cod." prefixed so no simulator module class can collide.
@@ -82,9 +67,8 @@ struct NodeTelemetry {
   /// number, and the decoder keeps them all. Always encoded in full.
   std::vector<core::CbTableLoad> tableLoad;
   /// True when this node runs the tick-phase profiler: `phases` is
-  /// meaningful and the record encodes as wire v5. False encodes the
-  /// exact v4 bytes (phase block absent), keeping profiler-off nodes
-  /// byte-identical to v4 peers.
+  /// meaningful and the record carries the phase block (flags bit 0x02).
+  /// False leaves the block and the flag out.
   bool phaseProfiling = false;
   /// Cumulative per-phase tick histograms, indexed like
   /// TickPhaseHistograms::at(). All-zero unless `phaseProfiling`.
@@ -126,8 +110,9 @@ std::optional<TelemetryHeader> peekTelemetryHeader(
 
 /// Decode either encoding. Delta records require `base` with the matching
 /// sequence; keyframes ignore `base`. Rejects (nullopt) truncated input,
-/// trailing bytes, bad version, unknown counter indices, or a delta whose
-/// base is absent/mismatched — a monitor must drop, never guess.
+/// trailing bytes, bad version, unknown or non-ascending counter indices,
+/// or a delta whose base is absent/mismatched — a monitor must drop,
+/// never guess.
 std::optional<NodeTelemetry> decodeTelemetry(
     std::span<const std::uint8_t> bytes,
     const NodeTelemetry* base = nullptr);

@@ -15,7 +15,7 @@ NodeTelemetry StatRegistry::snapshot(double now) {
     t.hists[i] = cb_->histograms().at(i).snapshot();
   t.tableLoad = {cb_->tableLoad()};
   if (cb_->config().phaseProfile) {
-    t.phaseProfiling = true;  // record encodes as wire v5
+    t.phaseProfiling = true;  // record carries the phase block
     for (std::size_t i = 0; i < kTickPhaseCount; ++i)
       t.phases[i] = cb_->phaseHistograms().at(i).snapshot();
   }

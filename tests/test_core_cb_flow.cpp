@@ -1,7 +1,5 @@
-// Flow-control and backpressure tests of the CB (the adaptive-flow-control
-// PR): overflow policies at the publication level (block / degrade), the
-// per-channel window split for a lagging subscriber and its re-merge after
-// recovery, best-effort thinning via setPeerSendFactor (with the
+// Flow-control and backpressure tests of the CB: the per-channel window
+// split for a lagging subscriber and its re-merge after recovery, best-effort thinning via setPeerSendFactor (with the
 // control-plane exemption), the adaptive mid-tick flush, the
 // BackpressureGovernor's alarm-driven thin/recover state machine — and the
 // headline guarantee that arming every flow feature without tripping any
@@ -33,14 +31,12 @@ class QosPub : public LogicalProcess {
     cb.attach(*this);
     handle = cb.publishObjectClass(*this, cls_, qos_);
   }
-  /// Returns updateAttributeValues' verdict (false: refused by the
-  /// kBlockPublisher gate).
-  bool send(double value, double ts, std::size_t padBytes = 0) {
+  void send(double value, double ts, std::size_t padBytes = 0) {
     AttributeSet a;
     a.set("v", value);
     if (padBytes > 0)
       a.set("pad", std::vector<std::uint8_t>(padBytes, 0x5A));
-    return backbone()->updateAttributeValues(handle, a, ts);
+    backbone()->updateAttributeValues(handle, a, ts);
   }
   PublicationHandle handle = kInvalidHandle;
 
@@ -68,83 +64,6 @@ class QosSub : public LogicalProcess {
   std::string cls_;
   net::QosClass qos_;
 };
-
-// ---- overflow policies ---------------------------------------------------
-
-TEST(CbFlow, BlockPublisherRefusesAtBudgetAndResumesAfterAcks) {
-  CodCluster::Config cfg;
-  cfg.cb.reliable.sendWindowBytes = 400;  // a couple of padded frames
-  CodCluster cluster(cfg);
-  auto& cbA = cluster.addComputer("a");
-  auto& cbB = cluster.addComputer("b");
-  QosPub pub("score", net::QosClass::kReliableOrdered);
-  pub.bind(cbA);
-  QosSub sub("score", net::QosClass::kReliableOrdered);
-  sub.bind(cbB);
-  ASSERT_TRUE(cluster.runUntil([&] { return cbB.connected(sub.handle); }, 5.0));
-  cbA.setPublicationOverflowPolicy(pub.handle,
-                                   net::OverflowPolicy::kBlockPublisher);
-
-  // Back-to-back within one tick: no acks can prune, so the budget fills
-  // and the gate refuses the rest — before consuming a sequence number.
-  std::vector<double> accepted;
-  for (int i = 0; i < 10; ++i)
-    if (pub.send(i, cluster.now(), /*padBytes=*/100)) accepted.push_back(i);
-  ASSERT_FALSE(accepted.empty());
-  ASSERT_LT(accepted.size(), 10u);
-  EXPECT_EQ(cbA.stats().reliable.updatesBlocked, 10u - accepted.size());
-
-  // Acks prune the window; the stream resumes with no gap and no loss.
-  cluster.step(1.0);
-  EXPECT_TRUE(pub.send(100, cluster.now(), /*padBytes=*/100));
-  accepted.push_back(100);
-  cluster.runUntil([&] { return sub.values.size() >= accepted.size(); },
-                   cluster.now() + 10.0);
-  ASSERT_EQ(sub.values, accepted);
-  EXPECT_EQ(cbB.stats().reliable.gapsAbandoned, 0u);
-  EXPECT_EQ(cbA.stats().reliable.sendWindowEvictions, 0u);
-}
-
-TEST(CbFlow, DegradeLatestValueAdvertisesSkipsAcrossABlackout) {
-  // The degrade policy trades the zero-gap guarantee for bounded memory
-  // and freshness: overflow evicts the oldest frames AND proactively
-  // orders lagging subscribers past them, instead of waiting for their
-  // NACKs to bounce off the evicted window.
-  CodCluster::Config cfg;
-  cfg.cb.reliable.sendWindowBytes = 400;
-  CodCluster cluster(cfg);
-  auto& cbA = cluster.addComputer("a");
-  auto& cbB = cluster.addComputer("b");
-  QosPub pub("score", net::QosClass::kReliableOrdered);
-  pub.bind(cbA);
-  QosSub sub("score", net::QosClass::kReliableOrdered);
-  sub.bind(cbB);
-  ASSERT_TRUE(cluster.runUntil([&] { return cbB.connected(sub.handle); }, 5.0));
-  cbA.setPublicationOverflowPolicy(pub.handle,
-                                   net::OverflowPolicy::kDegradeLatestValue);
-
-  net::LinkModel dead;
-  dead.lossRate = 1.0;
-  cluster.network().setLink(0, 1, dead);
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_TRUE(pub.send(i, cluster.now(), /*padBytes=*/100));  // never blocks
-    cluster.step(0.01);
-  }
-  cluster.network().setLink(0, 1, net::LinkModel{});
-  for (int i = 40; i < 60; ++i) {
-    pub.send(i, cluster.now(), /*padBytes=*/100);
-    cluster.step(0.01);
-  }
-  ASSERT_TRUE(cluster.runUntil(
-      [&] { return !sub.values.empty() && sub.values.back() == 59.0; },
-      cluster.now() + 10.0));
-  EXPECT_GT(cbA.stats().reliable.sendWindowEvictions, 0u);
-  EXPECT_GT(cbA.stats().reliable.degradeSkipsSent, 0u);
-  EXPECT_GT(cbB.stats().reliable.gapsAbandoned, 0u);
-  // Degraded, not disordered: what does arrive is strictly ascending.
-  for (std::size_t i = 1; i < sub.values.size(); ++i)
-    EXPECT_LT(sub.values[i - 1], sub.values[i]);
-}
 
 // ---- per-channel window split -------------------------------------------
 
@@ -465,7 +384,6 @@ std::vector<std::vector<std::uint8_t>> runTapped(bool armed) {
   CommunicationBackbone::Config cfg;
   if (armed) {
     cfg.reliable.sendWindowBytes = 1u << 20;  // never filled
-    cfg.reliable.overflowPolicy = net::OverflowPolicy::kBlockPublisher;
     cfg.reliable.perChannelWindowSplit = true;
     cfg.reliable.splitLagFrames = 1u << 20;  // never lagged that far
     cfg.batch.tickFlushByteBudget = 1u << 20;  // never crossed in a tick

@@ -708,6 +708,26 @@ std::size_t findPattern(const std::vector<std::uint8_t>& bytes,
   return static_cast<std::size_t>(it - bytes.begin());
 }
 
+TEST(TelemetryWire, CounterDeltaNonAscendingIndexRejected) {
+  // Counter indices in a delta ascend strictly, like histogram buckets: a
+  // delta naming one counter twice, or out of order, is corrupt.
+  const auto base = sampleTelemetry();
+  auto next = base;
+  next.seq = 18;
+  telemetry::setCounterValue(next, 3, 0x1111);
+  telemetry::setCounterValue(next, 10, 0x2222);
+  auto delta = telemetry::encodeTelemetryDelta(next, base);
+  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  // The two entries ride as [u16 3][u64 0x1111][u16 10][u64 0x2222].
+  const std::size_t at =
+      findPattern(delta, {10, 0, 0x22, 0x22, 0, 0, 0, 0, 0, 0});
+  ASSERT_EQ(delta[at - 10], 3);
+  delta[at] = 3;  // the second entry repeats the first index
+  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+  delta[at] = 2;  // the second entry indexes below the first
+  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+}
+
 TEST(TelemetryWire, HistogramBucketIndexOutOfRangeRejected) {
   const auto base = sampleTelemetry();
   auto next = base;
@@ -774,7 +794,7 @@ TEST(TelemetryWire, HistogramDeltaAgainstWrongBaseDiverges) {
   EXPECT_EQ(d->hists[2].buckets[3], base.hists[2].buckets[3]);  // seeded
 }
 
-// ---- Wire v5: the tick-phase block --------------------------------------
+// ---- The tick-phase block ------------------------------------------------
 
 // sampleTelemetry() with the phase profiler on and distinct nonzero
 // content in every phase histogram.
@@ -793,24 +813,6 @@ telemetry::NodeTelemetry samplePhasedTelemetry() {
   return t;
 }
 
-TEST(TelemetryWire, PhaselessEncodingIsByteIdenticalV4) {
-  // With the profiler off the encoder must emit the EXACT v4 record a
-  // pre-v5 build emits: version byte 4, nothing appended. A v5-capable
-  // peer with the profiler on produces those same bytes with only the
-  // version relabeled and the phase block appended last — so v4 decoders
-  // never see phase bytes and v5 decoders interop with v4 peers.
-  const auto plain = sampleTelemetry();
-  const auto v4 = telemetry::encodeTelemetry(plain);
-  EXPECT_EQ(v4[0], telemetry::kTelemetryVersionPhaseless);
-  auto phased = plain;
-  phased.phaseProfiling = true;  // all-zero phase snapshots
-  const auto v5 = telemetry::encodeTelemetry(phased);
-  ASSERT_GT(v5.size(), v4.size());
-  EXPECT_EQ(v5[0], telemetry::kTelemetryVersion);
-  EXPECT_TRUE(std::equal(v4.begin() + 1, v4.end(), v5.begin() + 1))
-      << "phase block must be appended after every v4 block, not inserted";
-}
-
 TEST(TelemetryWire, PhaseBlockRoundTripsKeyframeAndDelta) {
   const auto base = samplePhasedTelemetry();
   const auto bytes = telemetry::encodeTelemetry(base);
@@ -821,7 +823,7 @@ TEST(TelemetryWire, PhaseBlockRoundTripsKeyframeAndDelta) {
   for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p)
     EXPECT_EQ(k->phases[p], base.phases[p])
         << telemetry::TickPhaseHistograms::name(p);
-  // Peek understands both versions.
+  // Peek reads a record that carries the phase flag.
   const auto header = telemetry::peekTelemetryHeader(bytes);
   ASSERT_TRUE(header.has_value());
   EXPECT_EQ(header->node, base.node);
@@ -840,19 +842,34 @@ TEST(TelemetryWire, PhaseBlockRoundTripsKeyframeAndDelta) {
         << telemetry::TickPhaseHistograms::name(p);
 }
 
-TEST(TelemetryWire, V5WithoutPhaseBlockRejected) {
-  // A record claiming version 5 must actually CARRY the phase block; a
-  // v4-shaped record relabeled 5 is truncated input, not a quiet default.
-  auto bytes = telemetry::encodeTelemetry(sampleTelemetry());
-  ASSERT_EQ(bytes[0], telemetry::kTelemetryVersionPhaseless);
-  bytes[0] = telemetry::kTelemetryVersion;
-  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
-  // And the converse: version 4 bytes followed by a phase block is
-  // trailing garbage to a v4 parse.
-  auto v5 = telemetry::encodeTelemetry(samplePhasedTelemetry());
-  ASSERT_EQ(v5[0], telemetry::kTelemetryVersion);
-  v5[0] = telemetry::kTelemetryVersionPhaseless;
-  EXPECT_FALSE(telemetry::decodeTelemetry(v5).has_value());
+TEST(TelemetryWire, PhaseFlagMustMatchPhaseBlock) {
+  // The phase block is the record's last block and flags bit 0x02 alone
+  // announces it: a phased record is the plain one with the bit set and
+  // the block appended.
+  const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
+  const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
+  ASSERT_EQ(plain[1], 0x00);
+  ASSERT_EQ(phased[1], 0x02);
+  ASSERT_GT(phased.size(), plain.size());
+  EXPECT_TRUE(std::equal(plain.begin() + 2, plain.end(), phased.begin() + 2));
+  // 0x02 without a phase block is truncated input...
+  auto flagOnly = plain;
+  flagOnly[1] |= 0x02;
+  EXPECT_FALSE(telemetry::decodeTelemetry(flagOnly).has_value());
+  // ...and a phase block without 0x02 is trailing bytes.
+  auto blockOnly = phased;
+  blockOnly[1] &= ~0x02;
+  EXPECT_FALSE(telemetry::decodeTelemetry(blockOnly).has_value());
+  // Deltas carry the same flag beside the delta bit.
+  const auto base = samplePhasedTelemetry();
+  auto next = base;
+  next.seq = 18;
+  next.phases[1].count += 6;
+  auto delta = telemetry::encodeTelemetryDelta(next, base);
+  ASSERT_EQ(delta[1], 0x03);
+  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  delta[1] = 0x01;
+  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
 }
 
 TEST(TelemetryWire, PhaseBucketIndexOutOfRangeRejected) {
@@ -904,38 +921,39 @@ TEST(TelemetryWire, PhaseSetSizeMismatchRejected) {
   EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
 }
 
-TEST(TelemetryWire, PhaseFlagInvalidOutsideV6) {
-  // 0x02 was the phase flag of the retired v6 layout; on v4/v5 the phase
-  // block is implied by the version byte, so the bit is an undefined flag
-  // there, for the decoder and the header peek alike.
-  auto v4 = telemetry::encodeTelemetry(sampleTelemetry());
-  ASSERT_EQ(v4[0], telemetry::kTelemetryVersionPhaseless);
-  auto v5 = telemetry::encodeTelemetry(samplePhasedTelemetry());
-  ASSERT_EQ(v5[0], telemetry::kTelemetryVersion);
-  for (auto rec : {v4, v5}) {
-    rec[1] |= 0x02;
-    EXPECT_FALSE(telemetry::decodeTelemetry(rec).has_value()) << +rec[0];
-    EXPECT_FALSE(telemetry::peekTelemetryHeader(rec).has_value()) << +rec[0];
-  }
-  // Version 6 itself is retired: neither the decoder nor the header peek
-  // accepts it, with or without its old phase flag.
-  auto v6 = v4;
-  v6[0] = 6;
-  for (const std::uint8_t flags : {0x00, 0x02}) {
-    v6[1] = flags;
-    EXPECT_FALSE(telemetry::decodeTelemetry(v6).has_value()) << +flags;
-    EXPECT_FALSE(telemetry::peekTelemetryHeader(v6).has_value()) << +flags;
+TEST(TelemetryWire, RetiredVersionsRejected) {
+  // Only version 7 decodes. Versions 4 and 5 (phase block implied by the
+  // version byte) and 6 (a threaded network engine's counters) are
+  // retired: neither the decoder nor the header peek accepts them, with
+  // or without the phase flag, whatever body follows.
+  EXPECT_EQ(telemetry::kTelemetryVersion, 7);
+  const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
+  const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
+  for (auto rec : {plain, phased}) {
+    ASSERT_EQ(rec[0], telemetry::kTelemetryVersion);
+    EXPECT_TRUE(telemetry::decodeTelemetry(rec).has_value()) << +rec[1];
+    EXPECT_TRUE(telemetry::peekTelemetryHeader(rec).has_value()) << +rec[1];
+    for (const std::uint8_t version : {4, 5, 6}) {
+      for (const std::uint8_t flags : {0x00, 0x02}) {
+        rec[0] = version;
+        rec[1] = flags;
+        EXPECT_FALSE(telemetry::decodeTelemetry(rec).has_value())
+            << +version << " " << +flags;
+        EXPECT_FALSE(telemetry::peekTelemetryHeader(rec).has_value())
+            << +version << " " << +flags;
+      }
+    }
   }
 }
 
 TEST(TelemetryWire, CounterTableIsStable) {
   // The flattened counter order is the wire format; renaming or
   // reordering must bump kTelemetryVersion. Spot-check the anchors.
-  ASSERT_EQ(telemetry::counterCount(), 50u);  // v4: 43 + 7 flow counters
+  ASSERT_EQ(telemetry::counterCount(), 48u);  // 43 + 5 flow counters
   EXPECT_STREQ(telemetry::counterName(0), "cb.broadcastsSent");
   EXPECT_STREQ(telemetry::counterName(4), "cb.updatesSent");
-  // The v4 flow-control counters are inserted in-group, so the table
-  // still ends on the transport block.
+  // The flow-control counters are inserted in-group, so the table still
+  // ends on the transport block.
   EXPECT_STREQ(telemetry::counterName(12), "cb.updatesThinned");
   EXPECT_STREQ(telemetry::counterName(telemetry::counterCount() - 1),
                "transport.framesDropped");

@@ -428,36 +428,6 @@ TEST_F(SendWindowTest, OversizedFrameAloneSurvivesTheBudget) {
   EXPECT_EQ(w.highestEvicted(), 1u);
 }
 
-TEST_F(SendWindowTest, WouldOverflowChecksFrameCapAndByteBudget) {
-  cfg.sendWindowFrames = 2;
-  cfg.sendWindowBytes = 40;
-  ReliableSendWindow w(cfg, stats);
-  EXPECT_FALSE(w.wouldOverflow(16));
-  w.store(1, std::vector<std::uint8_t>(16, 0x11), 0.0);
-  EXPECT_FALSE(w.wouldOverflow(16));  // 32 <= 40, 2 frames <= cap
-  EXPECT_TRUE(w.wouldOverflow(32));   // 48 > 40: byte budget
-  w.store(2, std::vector<std::uint8_t>(16, 0x22), 0.0);
-  EXPECT_TRUE(w.wouldOverflow(1));  // 3 frames > cap of 2
-  // Acks free capacity again — the block is a state, not a verdict.
-  w.pruneThrough(1);
-  EXPECT_FALSE(w.wouldOverflow(16));
-}
-
-TEST_F(SendWindowTest, OverflowPolicyDefaultsFromConfigAndOverrides) {
-  cfg.overflowPolicy = OverflowPolicy::kBlockPublisher;
-  ReliableSendWindow w(cfg, stats);
-  EXPECT_EQ(w.overflowPolicy(), OverflowPolicy::kBlockPublisher);
-  w.setOverflowPolicy(OverflowPolicy::kDegradeLatestValue);
-  EXPECT_EQ(w.overflowPolicy(), OverflowPolicy::kDegradeLatestValue);
-  // The policy names are part of the operator-facing report grammar.
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::kEvictOldest),
-               "evict-oldest");
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::kBlockPublisher),
-               "block-publisher");
-  EXPECT_STREQ(overflowPolicyName(OverflowPolicy::kDegradeLatestValue),
-               "degrade-latest-value");
-}
-
 TEST_F(SendWindowTest, ByteAccountingTracksPruneAndClear) {
   cfg.sendWindowBytes = 1024;
   ReliableSendWindow w(cfg, stats);

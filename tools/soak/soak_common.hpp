@@ -20,11 +20,12 @@
 //   self-counters updates=<u> data=<d> retx=<r>  (ground truth: the
 //                                              node's own StatRegistry
 //                                              snapshot at exit)
-//   flow thinned=<n> blocked=<n> splits=<n> merges=<n> degrade-skips=<n>
-//        adaptive-flushes=<n> peer-dups=<n> [thin-steps=<n>
-//        recover-steps=<n>]         (what the adaptive flow-control
+//   flow thinned=<n> splits=<n> merges=<n> adaptive-flushes=<n>
+//        peer-dups=<n> [thin-steps=<n> recover-steps=<n>]
+//                                   (what the adaptive flow-control
 //                                    machinery did; all zero unless the
-//                                    node ran with --flow)
+//                                    node ran with --flow; for readers
+//                                    of the report, not parsed)
 //   status-updates <n>              (instructor only)
 //   alarm <KIND> <node>             (monitor host only, feed order)
 //   loss-est <node> <pct> data=<d> retx=<r> dups=<n>  (monitor host only;

@@ -293,8 +293,8 @@ int run(int argc, char** argv) {
   // reliable-layer loss estimate upward.
   cbCfg.reliable.ackIntervalSec = args.num("ack-interval", 0.05);
   // --phase-profile arms the tick-phase profiler: per-phase duration
-  // histograms and telemetry wire v5 (peers stay v4-compatible; the
-  // encoder only emits the phase block when this is on).
+  // histograms, shipped as the telemetry record's phase block (the
+  // encoder only emits the block when this is on).
   cbCfg.phaseProfile = args.has("phase-profile");
   // --flow arms the adaptive flow-control stack end to end: byte-budgeted
   // reliable send windows with per-channel split/re-merge, the adaptive
@@ -549,14 +549,12 @@ int run(int argc, char** argv) {
     out << "self-counters updates=" << t.cb.updatesSent
         << " data=" << t.cb.reliable.dataFramesSent
         << " retx=" << t.cb.reliable.retransmitsSent << "\n";
-    // Flow-control observability: what the adaptive machinery actually
-    // did this run (all zero when --flow is off — the features are
-    // config-gated and the driver asserts nothing fired unarmed).
+    // Flow-control observability: what the adaptive machinery did this
+    // run, for a reader of the report (soak_driver does not parse this
+    // line). All zero when --flow is off: the features are config-gated.
     out << "flow thinned=" << t.cb.updatesThinned
-        << " blocked=" << t.cb.reliable.updatesBlocked
         << " splits=" << t.cb.reliable.windowSplits
         << " merges=" << t.cb.reliable.windowMerges
-        << " degrade-skips=" << t.cb.reliable.degradeSkipsSent
         << " adaptive-flushes=" << t.cb.batch.adaptiveFlushes
         << " peer-dups=" << t.cb.reliable.peerDuplicatesReported;
     if (governor)
