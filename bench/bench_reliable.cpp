@@ -1,6 +1,7 @@
 // Reliable-channel benchmarks: what the NACK/retransmit window costs next
-// to the newest-wins path, and what throughput looks like when the LAN
-// actually drops packets (0 / 5 / 25% loss).
+// to the newest-wins path, what throughput looks like when the LAN
+// actually drops packets (0 / 5 / 25% loss), and what evicting the oldest
+// frame costs once a window is full.
 
 #include <benchmark/benchmark.h>
 
@@ -149,8 +150,36 @@ void BM_FanOutSendOnlyReliable(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 
+/// A window pinned at its frame cap with no acks arriving: every update
+/// evicts the oldest frame to admit the new one. The frame cap is the
+/// send window's only memory bound, so this is what a subscriber that
+/// stops acking costs its publisher per update.
+void BM_OverflowEvictOldest(benchmark::State& state) {
+  core::CommunicationBackbone::Config cfg;
+  cfg.reliable.sendWindowFrames = 8;
+  auto transport = std::make_unique<NullTransport>();
+  NullTransport* net = transport.get();
+  core::CommunicationBackbone cb("pub", std::move(transport), cfg);
+  CountingLp pub;
+  cb.attach(pub);
+  const auto h = cb.publishObjectClass(pub, "bench.data");
+  net->inject({10, 1}, core::encode(core::ChannelConnectionMsg{
+                           100, h, 1, "bench.data",
+                           net::QosClass::kReliableOrdered}));
+  cb.tick(0.0);
+  const core::AttributeSet attrs = sampleAttrs();
+  double t = 0.0;
+  for (auto _ : state) {
+    cb.updateAttributeValues(h, attrs, t);
+    t += 1e-6;
+  }
+  state.counters["evictions"] =
+      static_cast<double>(cb.stats().reliable.sendWindowEvictions);
+}
+
 }  // namespace
 
 BENCHMARK(BM_StreamBestEffort)->Arg(0)->Arg(50)->Arg(250);
 BENCHMARK(BM_StreamReliableOrdered)->Arg(0)->Arg(50)->Arg(250);
 BENCHMARK(BM_FanOutSendOnlyReliable)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_OverflowEvictOldest);

@@ -74,22 +74,19 @@ if [[ "${found}" -eq 0 ]]; then
 fi
 
 # Baselines regression hunts diff against: the reliable-channel numbers
-# (vs best effort), the batching numbers (datagrams/frame batched vs
+# (vs best effort, and the price of evicting the oldest frame from a full
+# send window), the batching numbers (datagrams/frame batched vs
 # unbatched), the telemetry overhead share (bench_telemetry exits
 # non-zero past its 2% budget), the CB routing numbers (the wide-table
-# lookups must stay flat 1 -> 10k registered pairs),
-# the flight-recorder numbers (bench_trace exits non-zero past its
-# 1% recorder-share budget), the flow-control numbers (budgeted-window
-# gate overhead, per-overflow-policy costs, split-window fan-out and the
-# best-effort thinning fast path) and the flight-data archive numbers
-# (bench_archive exits non-zero past its 1% append-share budget, and
-# prices the cod_inspect replay path).
+# lookups must stay flat 1 -> 10k registered pairs), the flight-recorder
+# numbers (bench_trace exits non-zero past its 1% recorder-share budget)
+# and the flight-data archive numbers (bench_archive exits non-zero past
+# its 1% append-share budget, and prices the cod_inspect replay path).
 # Warn (stderr) if any was not produced — e.g. Google Benchmark missing,
 # so the gbench binaries were never built. Not fatal: the scenario-bench
 # .log baselines above are still valid without them.
 for required in BENCH_reliable.json BENCH_batching.json BENCH_telemetry.json \
-                BENCH_cb_routing.json BENCH_trace.json BENCH_flow.json \
-                BENCH_archive.json; do
+                BENCH_cb_routing.json BENCH_trace.json BENCH_archive.json; do
   if [[ ! -s "${OUT_DIR}/${required}" ]]; then
     bench_bin="bench_${required#BENCH_}"
     bench_bin="${bench_bin%.json}"

@@ -100,9 +100,10 @@ void CommunicationBackbone::stageSend(const net::NodeAddr& dst,
 std::uint32_t CommunicationBackbone::arenaAppend(
     std::span<const std::uint8_t> frame) {
   // Recycle only when no staged descriptor references the arena anymore:
-  // a mid-fan-out adaptive flush may have emptied every slot while the
-  // fan-out's shared chunk is still about to be staged to more channels,
-  // and THAT is guarded by the fan-out not appending between channels.
+  // a budget flush in the middle of a fan-out may have emptied every slot
+  // while the fan-out's shared chunk is still about to be staged to more
+  // channels, and THAT is guarded by the fan-out not appending between
+  // channels.
   if (stagedFrameCount_ == 0) stageArena_.clear();
   const std::uint32_t off = static_cast<std::uint32_t>(stageArena_.size());
   const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
@@ -119,16 +120,6 @@ void CommunicationBackbone::appendStaged(PeerBatch& b, const StagedFrame& f) {
                   kBatchFramePrefixBytes + f.len;
   b.frames.push_back(f);
   ++stagedFrameCount_;
-  stagedTickBytes_ += f.len;
-  if (cfg_.batch.tickFlushByteBudget != 0 &&
-      stagedTickBytes_ >= cfg_.batch.tickFlushByteBudget) {
-    // Adaptive mid-tick flush: the tick has staged enough across all
-    // peers to overrun the budget — drain now instead of pooling it all
-    // into one end-of-tick burst. Only budget-counted (container) bytes
-    // arm this; bare sends left immediately anyway.
-    ++stats_.batch.adaptiveFlushes;
-    flushBatches();
-  }
 }
 
 void CommunicationBackbone::sendPatchedBare(const net::NodeAddr& addr,
@@ -278,7 +269,6 @@ void CommunicationBackbone::flushSlot(PeerBatch& b) {
 }
 
 void CommunicationBackbone::flushBatches() {
-  stagedTickBytes_ = 0;
   for (std::uint32_t i = 0; i < peerBatches_.size(); ++i) {
     PeerBatch& b = peerBatches_[i];
     if (!b.active) continue;
@@ -369,15 +359,6 @@ void CommunicationBackbone::updateAttributeValues(PublicationHandle h,
   update(*pub, attrs, timestamp);
 }
 
-void CommunicationBackbone::setPublicationThinningExempt(PublicationHandle h,
-                                                         bool exempt) {
-  PublicationEntry* pub = findPublication(h);
-  if (pub == nullptr)
-    throw std::invalid_argument(
-        "setPublicationThinningExempt: unknown handle");
-  pub->thinExempt = exempt;
-}
-
 std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
   SubscriptionEntry* sub = findSubscription(h);
   if (sub == nullptr || sub->mailbox.empty()) return std::nullopt;
@@ -417,10 +398,7 @@ std::vector<CbChannelHealth> CommunicationBackbone::channelHealth() const {
       hh.qos = ch.qos;
       hh.live = true;  // an OutChannel exists only once connected
       hh.ageSec = now_ - ch.lastHeardSec;
-      // A split channel reports its private window — that is the buffer
-      // whose occupancy tells the monitor whether THIS peer is pinned.
-      hh.windowFrames = ch.splitRetx ? ch.splitRetx->size()
-                                     : (pub.retx ? pub.retx->size() : 0);
+      hh.windowFrames = pub.retx ? pub.retx->size() : 0;
       hh.retransmits = ch.retransmits;
       hh.cumAcked = ch.cumAcked;
       out.push_back(std::move(hh));
@@ -456,9 +434,9 @@ void CommunicationBackbone::tick(double now) {
   // The receive loop interleaves socket polling/decoding with routing
   // (dispatchMessage), so the route phase cannot be bracketed as one
   // span: dispatchMessage accumulates its own time and pollDecode is the
-  // loop's wall time minus that. Adaptive mid-tick flushes triggered
-  // inside a phase are charged to that phase — the flush phase is the
-  // end-of-tick flush only.
+  // loop's wall time minus that. Budget flushes triggered inside a phase
+  // are charged to that phase — the flush phase is the end-of-tick flush
+  // only.
   phaseRouteAccumSec_ = 0.0;
   while (auto d = transport_->receive()) handleDatagram(*d, now);
   const auto tRecv = prof ? Clock::now() : Clock::time_point{};

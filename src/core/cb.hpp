@@ -101,10 +101,6 @@ struct CbBatchStats {
   std::uint64_t datagramsUnpacked = 0;   // containers received
   std::uint64_t framesUnpacked = 0;      // sub-frames dispatched from them
   std::uint64_t peerSlotsReclaimed = 0;  // staging slots freed on teardown
-  /// Mid-tick flushes forced by Config::Batch::tickFlushByteBudget: the
-  /// bytes staged across all peers this tick crossed the budget, so
-  /// everything left early instead of pooling into one end-of-tick burst.
-  std::uint64_t adaptiveFlushes = 0;
   /// Mean container size; with framesCoalesced/datagramsCoalesced this is
   /// the observable the batching bench tracks (bytes per datagram).
   double bytesPerDatagram() const {
@@ -153,9 +149,6 @@ struct CbStats {
   std::uint64_t malformedDrops = 0;
   std::uint64_t channelsTimedOut = 0;
   std::uint64_t mailboxOverflows = 0;
-  /// Best-effort updates skipped by backpressure thinning
-  /// (setPeerSendFactor < 1 on the peer's channels).
-  std::uint64_t updatesThinned = 0;
   /// Counters of the reliable-delivery layer (both roles).
   net::ReliableStats reliable;
   /// Counters of the send coalescer.
@@ -196,14 +189,6 @@ class CommunicationBackbone {
       /// would push past this flushes early; a single frame larger than
       /// the budget bypasses the container and is sent bare.
       std::size_t byteBudget = 1200;
-      /// Adaptive mid-tick flush: once the bytes staged across ALL peers
-      /// since the last flush exceed this, everything leaves immediately
-      /// instead of pooling until end of tick. Bounds the burst a heavy
-      /// tick (mass fan-out, retransmit storm) otherwise fires into the
-      /// NIC in one go — which is exactly when drops compound. 0 (the
-      /// default) disables it: wire timing is then identical to the
-      /// seed's end-of-tick-only flush.
-      std::size_t tickFlushByteBudget = 0;
     };
     Batch batch;
     /// Optional flight recorder (telemetry/trace.hpp). Not owned; may be
@@ -267,21 +252,6 @@ class CommunicationBackbone {
   /// path, §2.1: one or many LPs can run on a computer).
   void updateAttributeValues(PublicationHandle h, const AttributeSet& attrs,
                              double timestamp);
-
-  /// Telemetry-closed backpressure hook: thin best-effort updates toward
-  /// `peer` to `factor` (fraction actually sent, clamped to [0, 1]; 1
-  /// restores full rate). Reliable channels are never thinned. Applies
-  /// to every current outgoing channel whose endpoint is `peer`;
-  /// channels established later start at full rate.
-  void setPeerSendFactor(const net::NodeAddr& peer, double factor);
-
-  /// Exempt one publication from per-peer thinning. Control-plane
-  /// streams (the telemetry export above all) must keep flowing to a
-  /// struggling peer: they are how its struggle is observed and how its
-  /// recovery is detected, so thinning them would sever the very
-  /// feedback loop that thins. TelemetryPublisher::bind sets this on its
-  /// own publication.
-  void setPublicationThinningExempt(PublicationHandle h, bool exempt);
 
   /// Pull model: take the next queued reflection for a subscription.
   std::optional<Reflection> poll(SubscriptionHandle h);
@@ -463,21 +433,6 @@ class CommunicationBackbone {
   /// Attach this channel's cumulative duplicate count to an outgoing
   /// WINDOW_ACK (dup block) when any duplicates have been dropped.
   static void attachDupReport(const InChannel& ch, WindowAckMsg& ack);
-  /// The send window serving `ch`: its private split window if one
-  /// exists, else the publication's shared window.
-  static net::ReliableSendWindow* windowFor(PublicationEntry& pub,
-                                            OutChannel& ch);
-  /// Split `ch` onto a private send window seeded from the shared one
-  /// (everything above its cumulative ack), then re-compact the shared
-  /// window the laggard no longer pins.
-  void splitChannelWindow(PublicationEntry& pub, OutChannel& ch, double now);
-  /// Drop `ch`'s private window and rejoin the shared one (caller has
-  /// verified the shared window retains everything still NACKable).
-  void mergeChannelWindow(OutChannel& ch);
-  /// The split/merge decision for every reliable channel of `pub`
-  /// (ReliableConfig::perChannelWindowSplit; no-op when off). Returns
-  /// true if it split or merged a window.
-  bool runWindowSplitTimer(PublicationEntry& pub, double now);
   /// Prune (or drop) a publication's retransmit window after acks or
   /// channel departures.
   static void compactSendWindow(PublicationEntry& pub);
@@ -568,8 +523,8 @@ class CommunicationBackbone {
       ch.batchSlot = acquireBatchSlot(ch.remote);
     stagePatched(ch.batchSlot, off, len, ch.remoteChannelId);
   }
-  /// Shared tail of the two staging paths: append the descriptor, grow
-  /// the budget accounting, arm the adaptive mid-tick flush.
+  /// Shared tail of the two staging paths: append the descriptor and
+  /// grow the budget accounting.
   void appendStaged(PeerBatch& b, const StagedFrame& f);
   /// Send an arena frame bare with its channel id patched (three spans).
   void sendPatchedBare(const net::NodeAddr& addr, std::uint32_t off,
@@ -630,19 +585,16 @@ class CommunicationBackbone {
   double phaseRouteAccumSec_ = 0.0;
   std::uint16_t traceLane_ = 0;  // our lane in cfg_.trace (if attached)
   std::uint64_t tickOrdinal_ = 0;
-  /// Bytes staged across all peers since the last flush, for the
-  /// adaptive mid-tick flush (Config::Batch::tickFlushByteBudget).
-  std::size_t stagedTickBytes_ = 0;
   /// Reusable UPDATE frame for updateAttributeValues: encoded once per
   /// update, channel id patched per channel, capacity kept across calls.
   std::vector<std::uint8_t> updateFrame_;
   /// Shared staging arena: every staged frame's bytes live here as
   /// `[u32 len][frame]` chunks; PeerBatch slots hold descriptors only.
   /// Cleared lazily — only when a new chunk is appended while NOTHING is
-  /// staged (stagedFrameCount_ == 0) — so a mid-fan-out adaptive flush
-  /// can empty the slots without invalidating the fan-out's shared chunk
-  /// that later channels still reference. Offsets, not pointers, so
-  /// growth reallocation is harmless.
+  /// staged (stagedFrameCount_ == 0) — so a budget flush in the middle
+  /// of a fan-out can empty the slots without invalidating the fan-out's
+  /// shared chunk that later channels still reference. Offsets, not
+  /// pointers, so growth reallocation is harmless.
   std::vector<std::uint8_t> stageArena_;
   /// Descriptors currently staged across ALL peer slots (arena-recycling
   /// guard, see stageArena_).

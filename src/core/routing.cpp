@@ -400,9 +400,6 @@ void CommunicationBackbone::compactSendWindow(PublicationEntry& pub) {
   for (const OutChannel& ch : pub.channels) {
     if (ch.qos != net::QosClass::kReliableOrdered) continue;
     anyReliable = true;
-    // A split channel is served from its private window, so its lag no
-    // longer pins the shared one — that is the whole point of the split.
-    if (ch.splitRetx) continue;
     minAcked = std::min(minAcked, ch.cumAcked);
   }
   if (!anyReliable) {
@@ -410,80 +407,6 @@ void CommunicationBackbone::compactSendWindow(PublicationEntry& pub) {
     return;
   }
   pub.retx->pruneThrough(minAcked);
-}
-
-net::ReliableSendWindow* CommunicationBackbone::windowFor(
-    PublicationEntry& pub, OutChannel& ch) {
-  return ch.splitRetx ? ch.splitRetx.get() : pub.retx.get();
-}
-
-void CommunicationBackbone::splitChannelWindow(PublicationEntry& pub,
-                                               OutChannel& ch, double now) {
-  ch.splitRetx = std::make_unique<net::ReliableSendWindow>(cfg_.reliable,
-                                                           stats_.reliable);
-  // Seed with everything the laggard might still need. Seeding stamps
-  // lastSentSec = now, which defers each frame's next tail-RTO by one
-  // timeout — cheaper than carrying per-frame timers across, and the
-  // NACK path is unaffected.
-  for (const std::uint64_t seq : pub.retx->storedSeqsAbove(ch.cumAcked)) {
-    if (std::vector<std::uint8_t>* f = pub.retx->frame(seq))
-      ch.splitRetx->store(seq, *f, now);
-  }
-  ch.lagSinceSec = -1.0;
-  ch.caughtUpSinceSec = -1.0;
-  ++stats_.reliable.windowSplits;
-  compactSendWindow(pub);  // the laggard no longer pins the shared window
-}
-
-void CommunicationBackbone::mergeChannelWindow(OutChannel& ch) {
-  ch.splitRetx.reset();
-  ch.lagSinceSec = -1.0;
-  ch.caughtUpSinceSec = -1.0;
-  ++stats_.reliable.windowMerges;
-}
-
-bool CommunicationBackbone::runWindowSplitTimer(PublicationEntry& pub,
-                                                double now) {
-  const net::ReliableConfig& rc = cfg_.reliable;
-  if (!rc.perChannelWindowSplit || !pub.retx) return false;
-  bool reshaped = false;
-  for (OutChannel& ch : pub.channels) {
-    if (ch.qos != net::QosClass::kReliableOrdered || !ch.qosConfirmed)
-      continue;
-    if (!ch.splitRetx) {
-      const bool lagging =
-          !pub.retx->empty() &&
-          pub.retx->highestStored() > ch.cumAcked + rc.splitLagFrames;
-      if (!lagging) {
-        ch.lagSinceSec = -1.0;
-      } else if (ch.lagSinceSec < 0.0) {
-        ch.lagSinceSec = now;
-      } else if (now - ch.lagSinceSec >= rc.splitSustainSec) {
-        splitChannelWindow(pub, ch, now);
-        reshaped = true;
-      }
-      continue;
-    }
-    // Merge precondition: the channel has recovered (lag under half the
-    // split threshold, hysteresis) AND the shared window still retains
-    // everything it might NACK — seq > cumAcked implies seq >= the
-    // shared window's lowest stored frame.
-    const std::uint64_t sharedLowest =
-        pub.retx->empty() ? pub.nextSeq : pub.retx->lowestStored();
-    const bool caughtUp =
-        (pub.retx->empty() ||
-         pub.retx->highestStored() <= ch.cumAcked + rc.splitLagFrames / 2) &&
-        ch.cumAcked + 1 >= sharedLowest;
-    if (!caughtUp) {
-      ch.caughtUpSinceSec = -1.0;
-    } else if (ch.caughtUpSinceSec < 0.0) {
-      ch.caughtUpSinceSec = now;
-    } else if (now - ch.caughtUpSinceSec >= rc.mergeSustainSec) {
-      mergeChannelWindow(ch);
-      reshaped = true;
-    }
-  }
-  return reshaped;
 }
 
 void CommunicationBackbone::deliverReliableReady(
@@ -562,9 +485,7 @@ void CommunicationBackbone::handleNack(PublicationHandle pub, const NackMsg& m,
   // sweep's stalled-channel guard never pauses a peer that is actively
   // asking for frames (its heartbeats/acks may all be getting lost).
   ch->lastHeardSec = now;
-  // A split channel is served from its private window (same shape, its
-  // own eviction horizon).
-  net::ReliableSendWindow* w = windowFor(p, *ch);
+  net::ReliableSendWindow* w = p.retx.get();
   std::uint64_t skipThrough = 0;
   for (const std::uint64_t seq : m.missingSeqs) {
     if (seq < ch->firstSeq || seq >= p.nextSeq) continue;  // never owed
@@ -672,7 +593,6 @@ void CommunicationBackbone::handleSubscriberWindowAck(PublicationHandle pub,
       ch->lastSentSec = now;
     }
   }
-  if (ch->splitRetx) ch->splitRetx->pruneThrough(ch->cumAcked);
   compactSendWindow(p);
 }
 
@@ -749,31 +669,13 @@ void CommunicationBackbone::update(PublicationEntry& pub,
     std::uint32_t fanOff = 0;
     bool fanStaged = false;
     for (OutChannel& ch : pub.channels) {
-      if (ch.qos == net::QosClass::kReliableOrdered) {
-        if (!buffered) {
-          // One buffered copy serves every shared-window reliable channel;
-          // the channel id is re-patched at retransmit time.
-          if (pub.retx) pub.retx->store(seq, updateFrame_, now_);
-          buffered = true;
-        }
-        // A split laggard buffers its own copy: its private window ages
-        // and evicts on the laggard's pace alone.
-        if (ch.splitRetx)
-          ch.splitRetx->store(seq, updateFrame_, now_);
+      if (ch.qos == net::QosClass::kReliableOrdered && !buffered) {
+        // One buffered copy serves every reliable channel; the channel id
+        // is re-patched at retransmit time.
+        if (pub.retx) pub.retx->store(seq, updateFrame_, now_);
+        buffered = true;
       }
       if (!ch.qosConfirmed) continue;  // held back until the upgrade lands
-      if (ch.qos == net::QosClass::kBestEffort && ch.sendFactor < 1.0 &&
-          !pub.thinExempt) {
-        // Backpressure thinning (newest-wins channels only): accumulate
-        // the skip fraction and drop evenly. The skipped update is simply
-        // superseded — exactly the QoS contract of a best-effort channel.
-        ch.thinDebt += 1.0 - ch.sendFactor;
-        if (ch.thinDebt >= 1.0) {
-          ch.thinDebt -= 1.0;
-          ++stats_.updatesThinned;
-          continue;
-        }
-      }
       if (!fanStaged) {
         fanOff = arenaAppend(updateFrame_);
         fanStaged = true;
@@ -786,18 +688,6 @@ void CommunicationBackbone::update(PublicationEntry& pub,
         ++stats_.reliable.dataFramesSent;
         ch.maxSentSeq = seq;
       }
-    }
-  }
-}
-
-void CommunicationBackbone::setPeerSendFactor(const net::NodeAddr& peer,
-                                              double factor) {
-  const double f = std::clamp(factor, 0.0, 1.0);
-  for (auto& [h, pub] : publications_) {
-    for (OutChannel& ch : pub.channels) {
-      if (!(ch.remote == peer)) continue;
-      ch.sendFactor = f;
-      if (f >= 1.0) ch.thinDebt = 0.0;
     }
   }
 }
@@ -923,9 +813,6 @@ void CommunicationBackbone::publicationTimer(
       ch.lastSentSec = now;
     }
   }
-  // Split/merge decisions before the sweeps, so a channel split this
-  // tick is already excluded from the shared sweep below.
-  const bool reshaped = runWindowSplitTimer(pub, now);
   const double stalledAfterSec = 2.0 * cfg_.heartbeatIntervalSec;
   const auto stalled = [&](const OutChannel& ch) {
     return now - ch.lastHeardSec > stalledAfterSec;
@@ -948,10 +835,9 @@ void CommunicationBackbone::publicationTimer(
     std::uint64_t minUnacked = std::numeric_limits<std::uint64_t>::max();
     for (const OutChannel& ch : chans) {
       // Unconfirmed channels receive nothing yet, so sweeping for them
-      // would only churn the frame timers. Split channels sweep their
-      // own window below.
+      // would only churn the frame timers.
       if (ch.qos == net::QosClass::kReliableOrdered && ch.qosConfirmed &&
-          !ch.splitRetx && !stalled(ch))
+          !stalled(ch))
         minUnacked = std::min(minUnacked, ch.cumAcked + 1);
     }
     for (const std::uint64_t seq :
@@ -960,8 +846,7 @@ void CommunicationBackbone::publicationTimer(
       if (frame == nullptr) continue;
       for (OutChannel& ch : chans) {
         if (ch.qos != net::QosClass::kReliableOrdered || !ch.qosConfirmed ||
-            ch.splitRetx || ch.cumAcked >= seq || seq < ch.firstSeq ||
-            stalled(ch))
+            ch.cumAcked >= seq || seq < ch.firstSeq || stalled(ch))
           continue;
         patchChannelId(*frame, ch.remoteChannelId);
         stageToChannel(ch, *frame);
@@ -985,30 +870,6 @@ void CommunicationBackbone::publicationTimer(
       }
     }
   }
-  // Tail sweep of each split channel's private window — same contract,
-  // one channel per window, the laggard's own cumulative ack as floor.
-  for (OutChannel& ch : chans) {
-    if (!ch.splitRetx || ch.splitRetx->empty() || stalled(ch)) continue;
-    for (const std::uint64_t seq :
-         ch.splitRetx->takeTailRetransmits(ch.cumAcked + 1, now)) {
-      std::vector<std::uint8_t>* frame = ch.splitRetx->frame(seq);
-      if (frame == nullptr || ch.cumAcked >= seq || seq < ch.firstSeq)
-        continue;
-      patchChannelId(*frame, ch.remoteChannelId);
-      stageToChannel(ch, *frame);
-      ch.lastSentSec = now;
-      if (seq > ch.maxSentSeq) {
-        ch.maxSentSeq = seq;
-        ++stats_.reliable.dataFramesSent;
-      } else {
-        ++ch.retransmits;
-        ++stats_.reliable.retransmitsSent;
-        if (tracing())
-          traceEvent(telemetry::TraceEventKind::kRetransmit, now, 0.0,
-                     seq, ch.remoteChannelId);
-      }
-    }
-  }
   const std::size_t before = chans.size();
   chans.erase(std::remove_if(chans.begin(), chans.end(),
                              [&](const OutChannel& ch) {
@@ -1029,7 +890,6 @@ void CommunicationBackbone::publicationTimer(
   // The next tick any check above can act on, from the state this run
   // left behind. A stalled channel stays stalled until the subscriber is
   // heard from, and every handler that hears from it wakes the timer.
-  const net::ReliableConfig& rc = cfg_.reliable;
   double due = std::numeric_limits<double>::infinity();
   std::uint64_t minUnacked = std::numeric_limits<std::uint64_t>::max();
   for (const OutChannel& ch : chans) {
@@ -1038,28 +898,14 @@ void CommunicationBackbone::publicationTimer(
     if (ch.qos == net::QosClass::kReliableOrdered && !ch.windowAckSeen)
       due = std::min(due,
                      net::dueAfter(ch.lastAckResendSec, cfg_.connectRetrySec));
-    if (ch.lagSinceSec >= 0.0)
-      due = std::min(due, net::dueAfter(ch.lagSinceSec, rc.splitSustainSec));
-    if (ch.caughtUpSinceSec >= 0.0)
-      due = std::min(due,
-                     net::dueAfter(ch.caughtUpSinceSec, rc.mergeSustainSec));
-    if (stalled(ch)) continue;
-    if (ch.splitRetx) {
-      due = std::min(
-          due, net::dueAfter(ch.splitRetx->earliestUnackedSentSec(
-                                 ch.cumAcked + 1),
-                             rc.retxTimeoutSec));
-    } else if (ch.qos == net::QosClass::kReliableOrdered && ch.qosConfirmed) {
+    if (ch.qos == net::QosClass::kReliableOrdered && ch.qosConfirmed &&
+        !stalled(ch))
       minUnacked = std::min(minUnacked, ch.cumAcked + 1);
-    }
   }
   if (pub.retx)
     due = std::min(due,
                    net::dueAfter(pub.retx->earliestUnackedSentSec(minUnacked),
-                                 rc.retxTimeoutSec));
-  // The split decisions sample lag as an edge: a window this run reshaped
-  // (split, merge, or compacted after a timeout) is re-sampled next tick.
-  if (reshaped || chans.size() != before) due = now;
+                                 cfg_.reliable.retxTimeoutSec));
   pub.timerDue = due;
 }
 

@@ -84,25 +84,6 @@ struct OutChannel {
   /// (dataFramesSent) instead of retransmits, keeping the
   /// reliable-layer loss estimate unbiased under channel upgrades.
   std::uint64_t maxSentSeq = 0;
-  /// Private send window (flow control, ReliableConfig::
-  /// perChannelWindowSplit): allocated when this channel's cumulative
-  /// ack lags the shared window by splitLagFrames for splitSustainSec,
-  /// so a laggard stops pinning frames every healthy peer already
-  /// acked. Null = serving from the publication's shared window (the
-  /// only state when the feature is off).
-  std::unique_ptr<net::ReliableSendWindow> splitRetx;
-  /// Edge timers of the split/merge decision (-1 = condition not
-  /// currently observed).
-  double lagSinceSec = -1.0;
-  double caughtUpSinceSec = -1.0;
-  /// Telemetry-closed backpressure: fraction of best-effort updates
-  /// actually sent to this peer (1 = all). Reliable channels are never
-  /// thinned — the byte-budgeted send window and the window split bound
-  /// what a slow peer costs them instead. `thinDebt` accumulates
-  /// (1 - sendFactor) per update and skips one when it reaches 1, so
-  /// any factor thins evenly rather than in bursts.
-  double sendFactor = 1.0;
-  double thinDebt = 0.0;
   /// Cumulative duplicate count last reported by this subscriber in a
   /// WINDOW_ACK dup block (high-water mark; reports are cumulative so
   /// a lost one heals on the next).
@@ -122,18 +103,11 @@ struct PublicationEntry {
   /// publication (frames differ only in the patched channel id).
   /// Allocated on the first reliable channel.
   std::unique_ptr<net::ReliableSendWindow> retx;
-  /// Exempt from per-peer backpressure thinning
-  /// (CommunicationBackbone::setPublicationThinningExempt). Control-plane
-  /// streams — telemetry above all — must keep flowing to a struggling
-  /// peer: they are how its struggle is observed and how its recovery is
-  /// detected, so thinning them would sever the very loop that thins.
-  bool thinExempt = false;
   /// Conservative deadline of publicationTimer: never later than the first
-  /// tick on which it can act (ACK re-send, keep-alive, window split or
-  /// merge, tail retransmit, dead-subscriber timeout). The timer
-  /// recomputes it from the fields its checks read; every handler that
-  /// changes those fields wakes it to its own clock
-  /// (CommunicationBackbone::wake), so the timer walk skips the
+  /// tick on which it can act (ACK re-send, keep-alive, tail retransmit,
+  /// dead-subscriber timeout). The timer recomputes it from the fields its
+  /// checks read; every handler that changes those fields wakes it to its
+  /// own clock (CommunicationBackbone::wake), so the timer walk skips the
   /// publication until then. Waking early does nothing.
   double timerDue = kTimerDueNow;
 };

@@ -17,37 +17,18 @@ double measured(double sec) { return std::round(sec * 1e6) * 1e-6; }
 
 // ---- ReliableSendWindow -------------------------------------------------
 
-void ReliableSendWindow::evictOldest() {
-  highestEvicted_ = std::max(highestEvicted_, frames_.begin()->first);
-  bytesBuffered_ -= frames_.begin()->second.frame.size();
-  frames_.erase(frames_.begin());
-  ++stats_->sendWindowEvictions;
-}
-
 void ReliableSendWindow::store(std::uint64_t seq,
                                std::vector<std::uint8_t> frame, double now) {
   Entry e;
   e.frame = std::move(frame);
   e.lastSentSec = now;  // storing happens at first send
-  bytesBuffered_ += e.frame.size();
   frames_[seq] = std::move(e);
-  highestStored_ = std::max(highestStored_, seq);
   ++stats_->framesBuffered;
-  while (frames_.size() > cfg_->sendWindowFrames) evictOldest();
-  if (cfg_->sendWindowBytes != 0) {
-    // Never evict down to nothing: the newest frame stays even when it is
-    // alone bigger than the budget, so the stream always makes progress.
-    while (frames_.size() > 1 && bytesBuffered_ > cfg_->sendWindowBytes)
-      evictOldest();
+  while (frames_.size() > cfg_->sendWindowFrames) {
+    highestEvicted_ = std::max(highestEvicted_, frames_.begin()->first);
+    frames_.erase(frames_.begin());
+    ++stats_->sendWindowEvictions;
   }
-}
-
-std::vector<std::uint64_t> ReliableSendWindow::storedSeqsAbove(
-    std::uint64_t afterSeq) const {
-  std::vector<std::uint64_t> seqs;
-  for (auto it = frames_.upper_bound(afterSeq); it != frames_.end(); ++it)
-    seqs.push_back(it->first);
-  return seqs;
 }
 
 std::vector<std::uint8_t>* ReliableSendWindow::frame(std::uint64_t seq) {
@@ -72,7 +53,6 @@ void ReliableSendWindow::touchSent(std::uint64_t seq, double now) {
 
 void ReliableSendWindow::pruneThrough(std::uint64_t throughSeq) {
   while (!frames_.empty() && frames_.begin()->first <= throughSeq) {
-    bytesBuffered_ -= frames_.begin()->second.frame.size();
     frames_.erase(frames_.begin());
     ++stats_->framesPruned;
   }

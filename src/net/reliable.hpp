@@ -77,25 +77,11 @@ struct ReliableConfig {
   double retxTimeoutSec = 0.25;
   /// Cadence of cumulative WindowAcks from the receiver.
   double ackIntervalSec = 0.1;
-  /// Retransmit buffer cap, frames per publication. Overflow evicts the
-  /// oldest frame — receivers that still miss it are told to skip, so a
-  /// too-small window degrades to counted loss instead of livelock.
+  /// Retransmit buffer cap, frames per publication, and the window's only
+  /// memory bound. Overflow evicts the oldest frame — receivers that
+  /// still miss it are told to skip, so a too-small window degrades to
+  /// counted loss instead of livelock.
   std::size_t sendWindowFrames = 512;
-  /// Retransmit buffer cap in payload BYTES per window (0 = no byte
-  /// budget, the seed behavior). Frame counts are a poor proxy for memory
-  /// and for how long a laggard can pin the window when update sizes vary
-  /// by 100x across classes; the byte budget bounds the real cost. At the
-  /// budget the oldest frames are evicted, as at the frame cap.
-  std::size_t sendWindowBytes = 0;
-  /// Per-channel window split: a subscriber whose cumulative ack lags the
-  /// shared window by splitLagFrames for splitSustainSec gets its own
-  /// private send window, so it stops pinning the frames every healthy
-  /// peer already acked. It re-merges after mergeSustainSec of staying
-  /// caught up. Off (false) is wire- and behavior-identical to the seed.
-  bool perChannelWindowSplit = false;
-  std::size_t splitLagFrames = 64;
-  double splitSustainSec = 0.5;
-  double mergeSustainSec = 1.0;
   /// Receiver reorder buffer cap, frames per channel.
   std::size_t reorderLimit = 1024;
   /// Missing sequence numbers listed per NACK message.
@@ -129,9 +115,6 @@ struct ReliableStats {
   std::uint64_t duplicatesDropped = 0;   // receiver: seq already delivered
   std::uint64_t reorderOverflows = 0;    // receiver: buffer cap hit
   std::uint64_t gapsAbandoned = 0;       // receiver: skipped on sender's order
-  /// Sender: per-channel window splits and re-merges.
-  std::uint64_t windowSplits = 0;
-  std::uint64_t windowMerges = 0;
   /// Sender: duplicates subscribers reported back via WINDOW_ACK dup
   /// blocks — retransmits that arrived after the original made it. The
   /// loss estimate subtracts them: a delivered-twice frame was never a
@@ -170,8 +153,7 @@ class ReliableSendWindow {
       : cfg_(&cfg), stats_(&stats) {}
 
   /// Buffer one encoded frame (copies; the live frame buffer is reused by
-  /// the caller). Evicts the oldest frames beyond the frame cap and, when
-  /// a byte budget is configured, beyond the byte budget.
+  /// the caller). Evicts the oldest frames beyond the frame cap.
   void store(std::uint64_t seq, std::vector<std::uint8_t> frame, double now);
 
   /// The stored frame for `seq`, or null if never stored / already
@@ -216,23 +198,9 @@ class ReliableSendWindow {
   /// Highest sequence ever evicted by overflow (0 if none): receivers
   /// NACKing at or below it must be told to skip.
   std::uint64_t highestEvicted() const { return highestEvicted_; }
-  std::uint64_t highestStored() const { return highestStored_; }
-  /// Oldest sequence still buffered (0 when empty) — the split path's
-  /// merge precondition: a laggard may rejoin the shared window only if
-  /// everything it might still NACK is retained there.
-  std::uint64_t lowestStored() const {
-    return frames_.empty() ? 0 : frames_.begin()->first;
-  }
-  /// Stored sequences strictly above `afterSeq`, ascending — the split
-  /// path seeds a laggard's private window from the shared one.
-  std::vector<std::uint64_t> storedSeqsAbove(std::uint64_t afterSeq) const;
   std::size_t size() const { return frames_.size(); }
-  std::size_t bytesBuffered() const { return bytesBuffered_; }
   bool empty() const { return frames_.empty(); }
-  void clear() {
-    frames_.clear();
-    bytesBuffered_ = 0;
-  }
+  void clear() { frames_.clear(); }
 
  private:
   struct Entry {
@@ -240,15 +208,11 @@ class ReliableSendWindow {
     double lastSentSec = 0.0;
   };
 
-  void evictOldest();
-
   const ReliableConfig* cfg_;
   ReliableStats* stats_;
   telemetry::LogHistogram* retxDelayHist_ = nullptr;
   std::map<std::uint64_t, Entry> frames_;
   std::uint64_t highestEvicted_ = 0;
-  std::uint64_t highestStored_ = 0;
-  std::size_t bytesBuffered_ = 0;
 };
 
 /// Receiver half: gap detection, NACK scheduling and in-order release for

@@ -37,8 +37,6 @@ constexpr std::array kCounterFields{
     COD_COUNTER("cb.malformedDrops", cb.malformedDrops),
     COD_COUNTER("cb.channelsTimedOut", cb.channelsTimedOut),
     COD_COUNTER("cb.mailboxOverflows", cb.mailboxOverflows),
-    // Flow control / backpressure.
-    COD_COUNTER("cb.updatesThinned", cb.updatesThinned),
     COD_COUNTER("reliable.framesBuffered", cb.reliable.framesBuffered),
     COD_COUNTER("reliable.framesPruned", cb.reliable.framesPruned),
     COD_COUNTER("reliable.sendWindowEvictions",
@@ -56,9 +54,6 @@ constexpr std::array kCounterFields{
     COD_COUNTER("reliable.duplicatesDropped", cb.reliable.duplicatesDropped),
     COD_COUNTER("reliable.reorderOverflows", cb.reliable.reorderOverflows),
     COD_COUNTER("reliable.gapsAbandoned", cb.reliable.gapsAbandoned),
-    // Flow control / backpressure.
-    COD_COUNTER("reliable.windowSplits", cb.reliable.windowSplits),
-    COD_COUNTER("reliable.windowMerges", cb.reliable.windowMerges),
     COD_COUNTER("reliable.peerDuplicatesReported",
                 cb.reliable.peerDuplicatesReported),
     COD_COUNTER("batch.datagramsCoalesced", cb.batch.datagramsCoalesced),
@@ -70,8 +65,6 @@ constexpr std::array kCounterFields{
     COD_COUNTER("batch.datagramsUnpacked", cb.batch.datagramsUnpacked),
     COD_COUNTER("batch.framesUnpacked", cb.batch.framesUnpacked),
     COD_COUNTER("batch.peerSlotsReclaimed", cb.batch.peerSlotsReclaimed),
-    // Flow control / backpressure.
-    COD_COUNTER("batch.adaptiveFlushes", cb.batch.adaptiveFlushes),
     COD_COUNTER("transport.packetsSent", transport.packetsSent),
     COD_COUNTER("transport.bytesSent", transport.bytesSent),
     COD_COUNTER("transport.packetsReceived", transport.packetsReceived),

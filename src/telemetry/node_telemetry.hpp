@@ -36,11 +36,11 @@ namespace cod::telemetry {
 
 /// Wire-format version, first byte of every record. Decoders reject
 /// anything else (a mixed-version cluster must fail loudly, not
-/// misinterpret counters). Version 7 is the 48-row counter table, with
-/// the tick-phase block present iff flags bit 0x02 is set. Versions 1–6
+/// misinterpret counters). Version 8 is the 44-row counter table, with
+/// the tick-phase block present iff flags bit 0x02 is set. Versions 1–7
 /// are retired (docs/WIRE.md keeps their history), and their numbers are
 /// never reused.
-inline constexpr std::uint8_t kTelemetryVersion = 7;
+inline constexpr std::uint8_t kTelemetryVersion = 8;
 
 /// Reserved object class the publishers publish on and monitors subscribe
 /// to — "cod." prefixed so no simulator module class can collide.

@@ -11,12 +11,6 @@ void TelemetryPublisher::bind(core::CommunicationBackbone& cb) {
   cb.attach(*this);
   registry_.emplace(cb);
   pub_ = cb.publishObjectClass(*this, kTelemetryClass);
-  // The export is the control plane of the backpressure loop: a governor
-  // on this node may thin best-effort traffic toward a struggling peer,
-  // but never THIS stream — a thinned telemetry feed can phase-lock
-  // against the keyframe cadence and starve the peer's monitors of
-  // decodable snapshots exactly when they matter most.
-  cb.setPublicationThinningExempt(pub_, true);
 }
 
 void TelemetryPublisher::step(double now) {

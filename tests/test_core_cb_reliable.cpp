@@ -257,6 +257,51 @@ TEST(CbReliable, SurvivesLossBurstLongerThanHeartbeatInterval) {
   EXPECT_EQ(cbB.stats().channelsTimedOut, 0u);
 }
 
+TEST(CbReliable, BlackedOutSubscriberRecoversBesideHealthyPeer) {
+  // Two reliable subscribers share one publication's send window. One of
+  // them is blacked out for 0.5 s mid-stream while the other keeps
+  // acking: the laggard must recover everything it missed from the
+  // shared window, and neither stream may skip or reorder a frame.
+  CodCluster cluster;
+  auto& cbA = cluster.addComputer("a");
+  auto& cbB = cluster.addComputer("b");
+  auto& cbC = cluster.addComputer("c");
+  QosPub pub("score", net::QosClass::kReliableOrdered);
+  pub.bind(cbA);
+  QosSub healthy("score", net::QosClass::kReliableOrdered);
+  healthy.bind(cbB);
+  QosSub laggard("score", net::QosClass::kReliableOrdered);
+  laggard.bind(cbC);
+  ASSERT_TRUE(cluster.runUntil(
+      [&] {
+        return cbB.connected(healthy.handle) && cbC.connected(laggard.handle);
+      },
+      10.0));
+
+  constexpr int kCount = 80;
+  net::LinkModel dead;
+  dead.lossRate = 1.0;
+  for (int i = 0; i < kCount; ++i) {
+    if (i == 15) cluster.network().setLink(0, 2, dead);
+    if (i == 65) cluster.network().setLink(0, 2, net::LinkModel{});
+    pub.send(i, cluster.now());
+    cluster.step(0.01);
+  }
+  cluster.runUntil(
+      [&] {
+        return healthy.values.size() >= kCount &&
+               laggard.values.size() >= kCount;
+      },
+      cluster.now() + 10.0);
+  expectZeroGapInOrder(healthy, kCount);
+  expectZeroGapInOrder(laggard, kCount);
+  // The blackout really cost the laggard frames, and repair filled them.
+  EXPECT_GT(cbA.stats().reliable.retransmitsSent, 0u);
+  EXPECT_EQ(cbB.stats().reliable.gapsAbandoned, 0u);
+  EXPECT_EQ(cbC.stats().reliable.gapsAbandoned, 0u);
+  EXPECT_EQ(cbA.stats().channelsTimedOut, 0u);
+}
+
 TEST(CbReliable, BurstBeyondChannelTimeoutTearsDownAndRediscovers) {
   // Past the channel timeout the channel is gone — rediscovery must bring
   // a fresh reliable channel up, and streaming on it is again lossless.

@@ -731,8 +731,7 @@ struct TimerPathsRun {
 /// (CHANNEL_ACK re-sends until its first WINDOW_ACK). Loss drives connect
 /// retries, NACKs, acks and tail retransmits. Two partitions follow:
 /// alpha-charlie for 2 s, shorter than channelTimeoutSec, so the tail
-/// sweep skips charlie's stalled channel (and, with the window split on,
-/// its window splits and later merges); then alpha-bravo for 4 s, longer
+/// sweep skips charlie's stalled channel; then alpha-bravo for 4 s, longer
 /// than the timeout, so channels time out on both sides and rediscovery
 /// rebuilds them after the heal. Keep-alives run throughout. The reliable
 /// streams publish every 7th tick, a period that divides none of the
@@ -748,7 +747,6 @@ void runTimerPathsTapped(CommunicationBackbone::Config cfg,
   const net::HostId ha = net.addHost("alpha");
   const net::HostId hb = net.addHost("bravo");
   const net::HostId hc = net.addHost("charlie");
-  cfg.reliable.splitLagFrames = 64;
   CommunicationBackbone cbA(
       "alpha", std::make_unique<TapTransport>(net.bind(ha, 1), &run.log), cfg);
   CommunicationBackbone cbB(
@@ -795,8 +793,6 @@ void runTimerPathsTapped(CommunicationBackbone::Config cfg,
     run.stats.reliable.nacksSent += s.reliable.nacksSent;
     run.stats.reliable.windowAcksSent += s.reliable.windowAcksSent;
     run.stats.reliable.retransmitsSent += s.reliable.retransmitsSent;
-    run.stats.reliable.windowSplits += s.reliable.windowSplits;
-    run.stats.reliable.windowMerges += s.reliable.windowMerges;
   }
 }
 
@@ -811,22 +807,18 @@ void runTimerPathsTapped(CommunicationBackbone::Config cfg,
 /// it assumes no FMA contraction — the x86-64 default.)
 TEST(WireDigest, TimerPathsWireDigestIsPinned) {
   struct Case {
-    bool split;
     bool batching;
     std::size_t datagrams;
     std::uint64_t digest;
   };
-  for (const Case c : {Case{false, true, 16095, 12117349218154948365ull},
-                       Case{true, true, 16091, 6244924585916829988ull},
-                       Case{false, false, 18545, 14359508393808551388ull}}) {
+  for (const Case c : {Case{true, 16095, 12117349218154948365ull},
+                       Case{false, 18545, 14359508393808551388ull}}) {
     CommunicationBackbone::Config cfg;
-    cfg.reliable.perChannelWindowSplit = c.split;
     cfg.batch.enabled = c.batching;
     TimerPathsRun run;
     for (const std::uint64_t seed : {11u, 12u, 20u})
       runTimerPathsTapped(cfg, seed, run);
-    const std::string label = "split=" + std::to_string(c.split) +
-                              " batching=" + std::to_string(c.batching);
+    const std::string label = "batching=" + std::to_string(c.batching);
     // Every timer path fired at least once.
     EXPECT_GT(run.stats.broadcastsSent, 0u) << label;
     EXPECT_GT(run.stats.reliable.nacksSent, 0u) << label;
@@ -836,10 +828,6 @@ TEST(WireDigest, TimerPathsWireDigestIsPinned) {
     // Rediscovery rebuilt the timed-out channels: more establishments
     // than the five subscriptions of each run need once.
     EXPECT_GT(run.stats.channelsEstablishedIn, 15u) << label;
-    if (c.split) {
-      EXPECT_GT(run.stats.reliable.windowSplits, 0u) << label;
-      EXPECT_GT(run.stats.reliable.windowMerges, 0u) << label;
-    }
     EXPECT_EQ(run.log.size(), c.datagrams) << label;
     EXPECT_EQ(journalDigest(run.log), c.digest) << label;
   }

@@ -922,18 +922,19 @@ TEST(TelemetryWire, PhaseSetSizeMismatchRejected) {
 }
 
 TEST(TelemetryWire, RetiredVersionsRejected) {
-  // Only version 7 decodes. Versions 4 and 5 (phase block implied by the
-  // version byte) and 6 (a threaded network engine's counters) are
-  // retired: neither the decoder nor the header peek accepts them, with
-  // or without the phase flag, whatever body follows.
-  EXPECT_EQ(telemetry::kTelemetryVersion, 7);
+  // Only version 8 decodes. Versions 4 and 5 (phase block implied by the
+  // version byte), 6 (a threaded network engine's counters) and 7 (four
+  // flow-control counters) are retired: neither the decoder nor the
+  // header peek accepts them, with or without the phase flag, whatever
+  // body follows.
+  EXPECT_EQ(telemetry::kTelemetryVersion, 8);
   const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
   const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
   for (auto rec : {plain, phased}) {
     ASSERT_EQ(rec[0], telemetry::kTelemetryVersion);
     EXPECT_TRUE(telemetry::decodeTelemetry(rec).has_value()) << +rec[1];
     EXPECT_TRUE(telemetry::peekTelemetryHeader(rec).has_value()) << +rec[1];
-    for (const std::uint8_t version : {4, 5, 6}) {
+    for (const std::uint8_t version : {4, 5, 6, 7}) {
       for (const std::uint8_t flags : {0x00, 0x02}) {
         rec[0] = version;
         rec[1] = flags;
@@ -949,12 +950,12 @@ TEST(TelemetryWire, RetiredVersionsRejected) {
 TEST(TelemetryWire, CounterTableIsStable) {
   // The flattened counter order is the wire format; renaming or
   // reordering must bump kTelemetryVersion. Spot-check the anchors.
-  ASSERT_EQ(telemetry::counterCount(), 48u);  // 43 + 5 flow counters
+  ASSERT_EQ(telemetry::counterCount(), 44u);
   EXPECT_STREQ(telemetry::counterName(0), "cb.broadcastsSent");
   EXPECT_STREQ(telemetry::counterName(4), "cb.updatesSent");
-  // The flow-control counters are inserted in-group, so the table still
+  // The reliable block follows the twelve cb.* counters, and the table
   // ends on the transport block.
-  EXPECT_STREQ(telemetry::counterName(12), "cb.updatesThinned");
+  EXPECT_STREQ(telemetry::counterName(12), "reliable.framesBuffered");
   EXPECT_STREQ(telemetry::counterName(telemetry::counterCount() - 1),
                "transport.framesDropped");
 }

@@ -422,7 +422,10 @@ bool replay(const Loaded& a, const soak::Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    const soak::Args args(argc, argv);
+    const soak::Args args(argc, argv,
+                          {"archive", "csv", "diff", "expected-interval",
+                           "json", "nodes", "replay", "silent-after",
+                           "timeline", "verify-victim"});
     const std::string path = args.required("archive");
     Loaded a(path);
     if (a.records.empty() && a.reader.segmentsRead() == 0) {

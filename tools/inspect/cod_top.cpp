@@ -33,7 +33,11 @@ void onSignal(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   using namespace cod;
   try {
-    const soak::Args args(argc, argv);
+    const soak::Args args(
+        argc, argv,
+        {"base-port", "bind-ip", "cb-port", "duration", "expected-interval",
+         "frames", "host", "host-ips", "max-hosts", "name", "plain",
+         "ports-per-host", "refresh", "silent-after"});
 
     net::UdpConfig ucfg;
     ucfg.bindIp = args.str("bind-ip", "127.0.0.1");

@@ -20,12 +20,10 @@
 //   self-counters updates=<u> data=<d> retx=<r>  (ground truth: the
 //                                              node's own StatRegistry
 //                                              snapshot at exit)
-//   flow thinned=<n> splits=<n> merges=<n> adaptive-flushes=<n>
-//        peer-dups=<n> [thin-steps=<n> recover-steps=<n>]
-//                                   (what the adaptive flow-control
-//                                    machinery did; all zero unless the
-//                                    node ran with --flow; for readers
-//                                    of the report, not parsed)
+//   repair spurious-nacks=<n> reorder-window-max-ms=<ms> peer-dups=<n>
+//                                   (receiver-side NACK timing, and the
+//                                    duplicates peers reported back;
+//                                    parsed by key, gated on nothing)
 //   status-updates <n>              (instructor only)
 //   alarm <KIND> <node>             (monitor host only, feed order)
 //   loss-est <node> <pct> data=<d> retx=<r> dups=<n>  (monitor host only;
@@ -45,6 +43,7 @@
 //   exit ok                         (always last: truncation marker)
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -90,9 +89,11 @@ inline double wallSec() {
 
 /// Minimal `--key=value` flag parser (no bare values, no short options —
 /// the driver composes child command lines, so the grammar stays trivial).
+/// `known` lists every key the binary reads; any other key throws
+/// "unknown flag --<key>", so a misspelt gate cannot silently stay off.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, const std::vector<std::string>& known) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--", 0) != 0)
@@ -108,6 +109,8 @@ class Args {
         key.assign(arg, 2, eq - 2);
         value.assign(arg, eq + 1, std::string::npos);
       }
+      if (std::find(known.begin(), known.end(), key) == known.end())
+        throw std::invalid_argument("unknown flag --" + key);
       values_[key] = value;
     }
   }

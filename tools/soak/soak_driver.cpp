@@ -42,8 +42,7 @@
 // Failure drills on top of either shape:
 //   --starve-node=<n>  run node <n> under much harsher duplex impairment
 //                      (--starve-loss / --starve-delay-ms) than the rest
-//                      of the rack. Combined with --flow (the adaptive
-//                      flow-control stack) and --min-publish-rate, the
+//                      of the rack. Combined with --min-publish-rate, the
 //                      verdict demands the starved node still converge to
 //                      100% in-order delivery AND the healthy nodes keep
 //                      their nominal publish rate — survival, not just
@@ -83,6 +82,14 @@ using namespace cod;
 
 using soak::Segment;
 using soak::wallSec;
+
+/// Node knobs the driver reads as flags and passes to every soak_node
+/// untouched.
+const std::vector<std::string> kPassThroughFlags = {
+    "dup", "reorder", "delay-ms", "jitter-ms", "seed", "probe-hz", "quiesce",
+    "telemetry-interval", "silent-after", "channel-timeout", "heartbeat",
+    "ack-interval", "mass-hz", "keyframe-interval", "bind-ip", "host-ips",
+    "trace-sample", "phase-profile"};
 
 struct NodeSpec {
   std::string name;
@@ -496,16 +503,9 @@ class Driver {
     // Loss is driver-owned (the verdict compares estimates against it);
     // the remaining knobs pass through to the node untouched.
     argStrs.push_back("--loss=" + std::to_string(lossPct_));
-    for (const char* key :
-         {"dup", "reorder", "delay-ms", "jitter-ms", "seed", "probe-hz",
-          "quiesce", "telemetry-interval", "silent-after", "channel-timeout",
-          "heartbeat", "ack-interval", "mass-hz",
-          "keyframe-interval", "bind-ip", "host-ips", "trace-sample", "flow",
-          "send-window-bytes", "tick-flush-bytes", "split-lag-frames",
-          "phase-profile"}) {
+    for (const std::string& key : kPassThroughFlags) {
       if (args_.has(key))
-        argStrs.push_back("--" + std::string(key) + "=" +
-                          args_.str(key, ""));
+        argStrs.push_back("--" + key + "=" + args_.str(key, ""));
     }
     // The starved node's harsher impairment overrides the rack-wide
     // settings (soak::Args keeps the LAST occurrence of a repeated key,
@@ -748,7 +748,7 @@ class Driver {
     // rate (probe-hz over the publishing window). The victim and the
     // starved node judge survival through the in-order delivery gate
     // instead — the victim's count restarts mid-run, and the starved
-    // node's own publishing is exactly what backpressure may thin.
+    // node's own publishing rides its own lossy link.
     if (minPublishRate_ > 0.0 && !massConnect_) {
       const double probeHz = args_.num("probe-hz", 40.0);
       const double quiesce = args_.num("quiesce", 5.0);
@@ -914,7 +914,15 @@ class Driver {
 
 int main(int argc, char** argv) {
   try {
-    return Driver(soak::Args(argc, argv)).run(argv);
+    std::vector<std::string> known = kPassThroughFlags;
+    known.insert(known.end(),
+                 {"archive", "base-port", "duration", "inspect-bin",
+                  "kill-at", "loss", "mass-classes", "mass-connect",
+                  "max-p99-ms", "min-loss-samples", "min-publish-rate",
+                  "node-bin", "nodes", "out", "rack", "restart-at",
+                  "starve-delay-ms", "starve-loss", "starve-node",
+                  "stat-tolerance-pct", "tolerance-pp", "victim"});
+    return Driver(soak::Args(argc, argv, known)).run(argv);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "soak_driver: %s\n", e.what());
     return 2;

@@ -45,7 +45,6 @@
 #include "sim/dynamics_module.hpp"
 #include "sim/instructor_module.hpp"
 #include "sim/scenario_module.hpp"
-#include "telemetry/backpressure.hpp"
 #include "telemetry/monitor.hpp"
 #include "telemetry/publisher.hpp"
 #include "telemetry/registry.hpp"
@@ -224,7 +223,16 @@ class MassLp final : public core::LogicalProcess {
 };
 
 int run(int argc, char** argv) {
-  const soak::Args args(argc, argv);
+  const soak::Args args(
+      argc, argv,
+      {"ack-interval", "archive", "base-port", "bind-ip", "cb-port",
+       "channel-timeout", "delay-ms", "display-channel", "dup", "duration",
+       "heartbeat", "host", "host-ips", "impair-rx", "jitter-ms",
+       "keyframe-interval", "loss", "mass-classes", "mass-hz", "mass-index",
+       "mass-nodes", "max-hosts", "monitor", "name", "peers", "phase-profile",
+       "ports-per-host", "probe-hz", "quiesce", "reorder", "report", "role",
+       "seed", "silent-after", "telemetry-interval", "trace-dump",
+       "trace-sample"});
   const std::string name = args.required("name");
   const std::string role = args.required("role");
   const std::string reportPath = args.required("report");
@@ -296,23 +304,6 @@ int run(int argc, char** argv) {
   // histograms, shipped as the telemetry record's phase block (the
   // encoder only emits the block when this is on).
   cbCfg.phaseProfile = args.has("phase-profile");
-  // --flow arms the adaptive flow-control stack end to end: byte-budgeted
-  // reliable send windows with per-channel split/re-merge, the adaptive
-  // mid-tick flush, and a BackpressureGovernor fed by a HealthMonitor on
-  // EVERY node (the governor actuates this node's send rates, so it needs
-  // the cluster's alarm feed wherever it runs, not just on the monitor
-  // host). The window budget defaults generous — the soak's gate is that
-  // the machinery survives a starved peer, not that eviction fires.
-  const bool flow = args.has("flow");
-  if (flow) {
-    cbCfg.reliable.sendWindowBytes = static_cast<std::size_t>(
-        args.integer("send-window-bytes", 256 * 1024));
-    cbCfg.reliable.perChannelWindowSplit = true;
-    cbCfg.reliable.splitLagFrames =
-        static_cast<std::uint32_t>(args.integer("split-lag-frames", 64));
-    cbCfg.batch.tickFlushByteBudget = static_cast<std::size_t>(
-        args.integer("tick-flush-bytes", 48 * 1024));
-  }
   // Flight recorder + latency sampling: --trace-sample tags every Nth
   // reliable update, --trace-dump names the Chrome-trace JSON written at
   // exit, on SIGUSR2, and automatically when the monitor raises a CRIT
@@ -375,9 +366,8 @@ int run(int argc, char** argv) {
     return 2;
   }
   // Any node can host the cluster monitor (--monitor); the instructor
-  // role always does. In the mass-connect rack mass-0 takes the duty,
-  // and --flow puts one on every node to feed its governor.
-  if (monitor == nullptr && (args.has("monitor") || flow)) {
+  // role always does. In the mass-connect rack mass-0 takes the duty.
+  if (monitor == nullptr && args.has("monitor")) {
     telemetry::MonitorConfig mc;
     mc.expectedIntervalSec = args.num("telemetry-interval", 1.0);
     mc.silentAfterIntervals = args.num("silent-after", 3.0);
@@ -404,14 +394,6 @@ int run(int argc, char** argv) {
                    name.c_str(), archivePath.c_str());
     }
   }
-  // Telemetry-closed backpressure: the governor tails this node's alarm
-  // feed and thins best-effort sends toward struggling peers.
-  std::unique_ptr<telemetry::BackpressureGovernor> governor;
-  if (flow && monitor) {
-    governor = std::make_unique<telemetry::BackpressureGovernor>(*monitor);
-    governor->bind(cb);
-  }
-
   telemetry::TelemetryConfig tcfg;
   tcfg.intervalSec = args.num("telemetry-interval", 1.0);
   tcfg.keyframeInterval =
@@ -549,28 +531,19 @@ int run(int argc, char** argv) {
     out << "self-counters updates=" << t.cb.updatesSent
         << " data=" << t.cb.reliable.dataFramesSent
         << " retx=" << t.cb.reliable.retransmitsSent << "\n";
-    // Flow-control observability: what the adaptive machinery did this
-    // run, for a reader of the report (soak_driver does not parse this
-    // line). All zero when --flow is off: the features are config-gated.
-    out << "flow thinned=" << t.cb.updatesThinned
-        << " splits=" << t.cb.reliable.windowSplits
-        << " merges=" << t.cb.reliable.windowMerges
-        << " adaptive-flushes=" << t.cb.batch.adaptiveFlushes
-        << " peer-dups=" << t.cb.reliable.peerDuplicatesReported;
-    if (governor)
-      out << " thin-steps=" << governor->thinSteps()
-          << " recover-steps=" << governor->recoverSteps();
-    out << "\n";
   }
   // Receiver-side NACK timing: NACKs a duplicate showed unnecessary, and
-  // the widest reorder window any reliable in-channel learned. The driver
-  // reports both and gates neither.
+  // the widest reorder window any reliable in-channel learned; plus the
+  // duplicates peers reported back for this node's retransmits. The
+  // driver reports the first two and gates none.
   {
     double windowSec = 0.0;
     for (const core::CbChannelHealth& c : cb.channelHealth())
       if (!c.outbound) windowSec = std::max(windowSec, c.reorderWindowSec);
     out << "repair spurious-nacks=" << cb.stats().reliable.spuriousNacks
-        << " reorder-window-max-ms=" << windowSec * 1e3 << "\n";
+        << " reorder-window-max-ms=" << windowSec * 1e3
+        << " peer-dups=" << cb.stats().reliable.peerDuplicatesReported
+        << "\n";
   }
   // Whole-run delivery-latency percentiles (milliseconds) from this
   // node's own cumulative histogram — what the driver's --max-p99-ms
