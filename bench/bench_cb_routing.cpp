@@ -12,6 +12,7 @@
 #include "core/cluster.hpp"
 #include "core/protocol.hpp"
 #include "net/transport.hpp"
+#include "sim/object_classes.hpp"
 
 namespace {
 
@@ -37,6 +38,17 @@ core::AttributeSet sampleAttrs() {
   a.set("cableLen", 6.0);
   a.set("engineOn", true);
   a.set("alarms", std::int64_t{0});
+  return a;
+}
+
+/// The first `n` (by name) of the crane state's 23 attributes.
+core::AttributeSet craneAttrs(std::size_t n) {
+  const core::AttributeSet crane = sim::encodeCraneState(sim::CraneStateMsg{});
+  core::AttributeSet a;
+  for (const auto& [name, value] : crane) {
+    if (a.size() == n) break;
+    a.set(name, value);
+  }
   return a;
 }
 
@@ -89,7 +101,9 @@ void BM_LocalFastPathUpdateWideTables(benchmark::State& state) {
 }
 
 /// Cross-host path: update serialized, sent over the simulated LAN,
-/// decoded and delivered on the far CB.
+/// decoded and delivered on the far CB, for an update of state.range(0)
+/// crane-state attributes (2, 8, 23) — the slope is the per-attribute
+/// price of the send and receive paths.
 void BM_CrossHostUpdate(benchmark::State& state) {
   core::CodCluster cluster;
   auto& cbA = cluster.addComputer("a");
@@ -100,11 +114,13 @@ void BM_CrossHostUpdate(benchmark::State& state) {
   const auto h = cbA.publishObjectClass(pub, "bench.data");
   const auto s = cbB.subscribeObjectClass(sub, "bench.data");
   cluster.runUntil([&] { return cbB.connected(s); }, 5.0);
-  const core::AttributeSet attrs = sampleAttrs();
+  const core::AttributeSet attrs =
+      craneAttrs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     cbA.updateAttributeValues(h, attrs, cluster.now());
     cluster.step(0.001);  // latency 200 us: delivered within one slice
   }
+  state.counters["attrs"] = static_cast<double>(attrs.size());
   state.counters["delivered"] = static_cast<double>(sub.received);
 }
 
@@ -277,7 +293,7 @@ BENCHMARK(BM_LocalFastPathUpdateWideTables)
     ->Arg(64)
     ->Arg(1024)
     ->Arg(10240);
-BENCHMARK(BM_CrossHostUpdate);
+BENCHMARK(BM_CrossHostUpdate)->Arg(2)->Arg(8)->Arg(23);
 BENCHMARK(BM_FanOutUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(7);
 BENCHMARK(BM_FanOutSendOnly)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_TickQuietReliableChannels)->Arg(16)->Arg(128)->Arg(1024);

@@ -362,15 +362,14 @@ void CommunicationBackbone::updateAttributeValues(PublicationHandle h,
 std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
   SubscriptionEntry* sub = findSubscription(h);
   if (sub == nullptr || sub->mailbox.empty()) return std::nullopt;
-  Reflection r = std::move(sub->mailbox.front());
+  std::optional<Reflection> r(*sub->mailbox.front());
   sub->mailbox.pop_front();
   return r;
 }
 
 const Reflection* CommunicationBackbone::latest(SubscriptionHandle h) const {
   const SubscriptionEntry* sub = findSubscription(h);
-  if (sub == nullptr || !sub->latest) return nullptr;
-  return &*sub->latest;
+  return sub != nullptr ? sub->latest.get() : nullptr;
 }
 
 std::size_t CommunicationBackbone::pending(SubscriptionHandle h) const {
@@ -444,10 +443,9 @@ void CommunicationBackbone::tick(double now) {
   const auto tTimers = prof ? Clock::now() : Clock::time_point{};
   if (cfg_.pushDelivery) deliverMailboxes();
   // Step LPs by id snapshot: an LP may attach/detach others in step().
-  std::vector<LpId> ids;
-  ids.reserve(lps_.size());
-  for (const auto& [id, lp] : lps_) ids.push_back(id);
-  for (const LpId id : ids) {
+  stepIds_.clear();
+  for (const auto& [id, lp] : lps_) stepIds_.push_back(id);
+  for (const LpId id : stepIds_) {
     const auto it = lps_.find(id);
     if (it != lps_.end()) it->second->step(now);
   }
@@ -500,33 +498,44 @@ void CommunicationBackbone::handleDatagram(const net::Datagram& d, double now) {
     ++stats_.batch.datagramsUnpacked;
     net::WireReader r(body);
     r.u16();  // count, validated above
-    for (std::uint16_t i = 0; i < *count; ++i) {
-      auto msg = decode(*r.blobSpan());
-      if (!msg) {
-        // Valid framing, undecodable message inside: dropped exactly as
-        // the same bytes would be had they arrived bare.
-        ++stats_.malformedDrops;
-        continue;
-      }
-      ++stats_.batch.framesUnpacked;
-      dispatchMessage(*msg, d.src, now);
-    }
+    // Valid framing, undecodable message inside: dropped exactly as the
+    // same bytes would be had they arrived bare.
+    for (std::uint16_t i = 0; i < *count; ++i)
+      if (routeFrame(*r.blobSpan(), d.src, now)) ++stats_.batch.framesUnpacked;
     return;
   }
-  auto msg = decode(d.payload);
-  if (!msg) {
-    ++stats_.malformedDrops;
-    return;
+  routeFrame(d.payload, d.src, now);
+}
+
+bool CommunicationBackbone::routeFrame(std::span<const std::uint8_t> frame,
+                                       const net::NodeAddr& src, double now) {
+  // Decoding is the poll/decode phase; only the handler's time is route
+  // time (see phaseRouteAccumSec_).
+  using Clock = std::chrono::steady_clock;
+  const auto routed = [&](const auto& handle) {
+    const auto routeStart =
+        cfg_.phaseProfile ? Clock::now() : Clock::time_point{};
+    handle();
+    if (cfg_.phaseProfile)
+      phaseRouteAccumSec_ +=
+          std::chrono::duration<double>(Clock::now() - routeStart).count();
+    return true;
+  };
+  if (!frame.empty() &&
+      frame.front() == static_cast<std::uint8_t>(MsgType::kUpdate)) {
+    const auto update = decodeUpdate(frame);
+    if (update) return routed([&] { handleUpdate(*update, now); });
+  } else {
+    auto msg = decode(frame);
+    if (msg) return routed([&] { dispatchMessage(*msg, src, now); });
   }
-  dispatchMessage(*msg, d.src, now);
+  ++stats_.malformedDrops;
+  return false;
 }
 
 void CommunicationBackbone::dispatchMessage(CbMessage& msg,
                                             const net::NodeAddr& src,
                                             double now) {
-  using Clock = std::chrono::steady_clock;
-  const auto routeStart =
-      cfg_.phaseProfile ? Clock::now() : Clock::time_point{};
   switch (msg.type) {
     case MsgType::kSubscription:
       handleSubscription(msg.subscription, src);
@@ -540,9 +549,6 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
     // Subscriber-side channel messages are keyed by our own channel id.
     case MsgType::kChannelAck:
       handleChannelAck(msg.channelAck, now);
-      break;
-    case MsgType::kUpdate:
-      handleUpdate(msg.update, now);
       break;
     // Messages that may target either role route by the direction flag:
     // publisher-sent ones by channel id, subscriber-sent ones through the
@@ -580,15 +586,14 @@ void CommunicationBackbone::dispatchMessage(CbMessage& msg,
           handleSubscriberWindowAck(it->second, msg.windowAck, src, now);
       }
       break;
+    case MsgType::kUpdate:
     case MsgType::kBatch:
-      // Containers are unpacked in handleDatagram and never nest; one
-      // reaching here means a decoder bug upstream — drop it.
+      // routeFrame reads UPDATEs in place and handleDatagram unpacks
+      // containers, which never nest; one reaching here means a decoder
+      // bug upstream — drop it.
       ++stats_.malformedDrops;
       break;
   }
-  if (cfg_.phaseProfile)
-    phaseRouteAccumSec_ +=
-        std::chrono::duration<double>(Clock::now() - routeStart).count();
 }
 
 template <typename Entry, typename Table>
@@ -663,11 +668,14 @@ void CommunicationBackbone::deliverMailboxes() {
                                  ? subWalk_.items[i].entry
                                  : findSubscription(h);
     while (sub != nullptr && !sub->mailbox.empty()) {
-      Reflection r = std::move(sub->mailbox.front());
+      // Held here: the callback may unsubscribe, dropping the entry.
+      const std::shared_ptr<const Reflection> r =
+          std::move(sub->mailbox.front());
       sub->mailbox.pop_front();
       const auto lpIt = lps_.find(sub->lp);
       if (lpIt != lps_.end())
-        lpIt->second->reflectAttributeValues(r.className, r.attrs, r.timestamp);
+        lpIt->second->reflectAttributeValues(r->className, r->attrs,
+                                             r->timestamp);
       if (subWalk_.generation != generation) sub = findSubscription(h);
     }
   }

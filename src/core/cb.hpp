@@ -253,9 +253,14 @@ class CommunicationBackbone {
   void updateAttributeValues(PublicationHandle h, const AttributeSet& attrs,
                              double timestamp);
 
-  /// Pull model: take the next queued reflection for a subscription.
+  /// Pull model: take the next queued reflection for a subscription (a
+  /// copy: `latest` may share the queued one).
   std::optional<Reflection> poll(SubscriptionHandle h);
   /// Pull model: latest reflection seen on a subscription (null if none).
+  /// The pointer stays valid until the subscription's next reflection
+  /// replaces it, which can happen in the next tick() or, on the local
+  /// fast path, the next updateAttributeValues() of the class on this CB:
+  /// read it at once and copy what must outlive those calls.
   const Reflection* latest(SubscriptionHandle h) const;
   /// Queued reflections not yet pulled/pushed.
   std::size_t pending(SubscriptionHandle h) const;
@@ -323,9 +328,15 @@ class CommunicationBackbone {
   }
 
   void handleDatagram(const net::Datagram& d, double now);
-  /// Route one decoded message to its handler (sub-frames of a kBatch
-  /// container go through here individually). Subscriber-sent channel
-  /// messages resolve their publication through outChannelIndex_.
+  /// Decode one frame and route it to its handler (sub-frames of a kBatch
+  /// container go through here individually); false if the frame is
+  /// malformed and was dropped. An UPDATE is read in place
+  /// (decodeUpdate), every other message through decode().
+  bool routeFrame(std::span<const std::uint8_t> frame,
+                  const net::NodeAddr& src, double now);
+  /// Route one decoded non-UPDATE message to its handler.
+  /// Subscriber-sent channel messages resolve their publication through
+  /// outChannelIndex_.
   void dispatchMessage(CbMessage& msg, const net::NodeAddr& src, double now);
 
   void runTimers(double now);
@@ -374,7 +385,7 @@ class CommunicationBackbone {
   void handleChannelConnection(const ChannelConnectionMsg& m,
                                const net::NodeAddr& src, double now);
   void handleChannelAck(const ChannelAckMsg& m, double now);
-  void handleUpdate(UpdateMsg& m, double now);
+  void handleUpdate(const UpdateView& m, double now);
   /// Publisher keep-alive → refresh our inbound channel.
   void handlePublisherHeartbeat(const HeartbeatMsg& m,
                                 const net::NodeAddr& src, double now);
@@ -422,12 +433,13 @@ class CommunicationBackbone {
   /// nextBroadcast) forward to `now`, and timersDue_ with it. Every write
   /// that can make a deadline earlier goes here.
   void wake(double& due, double now);
-  void enqueueReflection(SubscriptionEntry& sub, Reflection r);
-  /// Decode and enqueue frames the reliable queue released in order.
-  /// Non-const: a released trace-tagged frame parks its delivery timing
-  /// in `ch.pendingEcho` for the next WINDOW_ACK.
-  void deliverReliableReady(InChannel& ch,
-                            std::vector<net::ReliableFrame>& ready);
+  void enqueueReflection(SubscriptionEntry& sub,
+                         std::shared_ptr<const Reflection> r);
+  /// Decode and enqueue the frames `ch`'s queue released into `rqReady_`
+  /// (in sequence order), then empty it. Non-const: a released
+  /// trace-tagged frame parks its delivery timing in `ch.pendingEcho` for
+  /// the next WINDOW_ACK.
+  void deliverReliableReady(InChannel& ch);
   /// Move `ch.pendingEcho` (if any) onto an outgoing WINDOW_ACK.
   static void attachTraceEcho(InChannel& ch, WindowAckMsg& ack, double now);
   /// Attach this channel's cumulative duplicate count to an outgoing
@@ -601,6 +613,12 @@ class CommunicationBackbone {
   std::size_t stagedFrameCount_ = 0;
   /// Reusable span list for scatter-gather flushes.
   std::vector<net::ByteSpan> iovScratch_;
+  /// Reusable LP id snapshot for tick()'s step phase.
+  std::vector<LpId> stepIds_;
+  /// Reusable release list for the reliable receive queues: every offer,
+  /// base and skip appends the frames it releases here, and
+  /// deliverReliableReady empties it.
+  std::vector<net::ReliableFrame> rqReady_;
 };
 
 }  // namespace cod::core

@@ -204,6 +204,31 @@ std::vector<std::uint8_t> encode(const BatchMsg& m) {
   return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
 }
 
+std::optional<UpdateView> decodeUpdate(std::span<const std::uint8_t> frame) {
+  net::WireReader r(frame);
+  const auto t = r.u8();
+  const auto ch = r.u32();
+  const auto seq = r.u64();
+  const auto ts = r.f64();
+  const auto payload = r.blobSpan();
+  if (!t || *t != static_cast<std::uint8_t>(MsgType::kUpdate) || !ch || !seq ||
+      !ts || !payload)
+    return std::nullopt;
+  UpdateView u{*ch, *seq, *ts, *payload};
+  // Optional trailing trace tag: [marker][f64 pubWallSec]. Anything else
+  // trailing is ignored, exactly as it was pre-trace (forward
+  // compatibility relies on it).
+  if (r.remaining() == 1 + sizeof(double)) {
+    const auto marker = r.u8();
+    const auto tag = r.f64();
+    if (marker && *marker == kTraceTagMarker && tag) {
+      u.traced = true;
+      u.pubWallSec = *tag;
+    }
+  }
+  return u;
+}
+
 std::optional<CbMessage> decode(std::span<const std::uint8_t> bytes) {
   net::WireReader r(bytes);
   const auto t = r.u8();
@@ -252,23 +277,11 @@ std::optional<CbMessage> decode(std::span<const std::uint8_t> bytes) {
       break;
     }
     case MsgType::kUpdate: {
-      const auto ch = r.u32();
-      const auto seq = r.u64();
-      const auto ts = r.f64();
-      auto payload = r.blob();
-      if (!ch || !seq || !ts || !payload) return std::nullopt;
-      msg.update = {*ch, *seq, *ts, std::move(*payload)};
-      // Optional trailing trace tag: [marker][f64 pubWallSec]. Anything
-      // else trailing is ignored, exactly as it was pre-trace (forward
-      // compatibility relies on it).
-      if (r.remaining() == 1 + sizeof(double)) {
-        const auto marker = r.u8();
-        const auto tag = r.f64();
-        if (marker && *marker == kTraceTagMarker && tag) {
-          msg.update.traced = true;
-          msg.update.pubWallSec = *tag;
-        }
-      }
+      const auto u = decodeUpdate(bytes);
+      if (!u) return std::nullopt;
+      msg.update = {u->channelId, u->seq, u->timestamp,
+                    {u->payload.begin(), u->payload.end()}, u->traced,
+                    u->pubWallSec};
       break;
     }
     case MsgType::kHeartbeat: {

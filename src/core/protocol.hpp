@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,18 @@ struct UpdateMsg {
   /// WINDOW_ACK (see WindowAckMsg). Untagged frames are byte-identical
   /// to the pre-trace protocol; decoders without the tag reader ignore
   /// the trailing bytes.
+  bool traced = false;
+  double pubWallSec = 0.0;
+};
+
+/// An UPDATE read in place: `payload` views the frame's bytes and is valid
+/// only while they are. The CB's receive path reads every UPDATE this way,
+/// so a best-effort payload decodes straight from the datagram.
+struct UpdateView {
+  std::uint32_t channelId = 0;
+  std::uint64_t seq = 0;
+  double timestamp = 0.0;
+  std::span<const std::uint8_t> payload;  // encoded AttributeSet
   bool traced = false;
   double pubWallSec = 0.0;
 };
@@ -286,6 +299,11 @@ void appendUpdateTraceTag(net::WireWriter& w, double pubWallSec);
 /// kChannelIdOffset + 4 bytes); byte-identical to re-encoding the message
 /// with `channelId` substituted.
 void patchChannelId(std::span<std::uint8_t> frame, std::uint32_t channelId);
+
+/// Read an UPDATE frame (type byte included) without copying its payload;
+/// nullopt unless `frame` is a well-formed UPDATE. decode() reads UPDATEs
+/// through this, so the two accept exactly the same bytes.
+std::optional<UpdateView> decodeUpdate(std::span<const std::uint8_t> frame);
 
 /// Decode any CB datagram; nullopt on malformed input (which the CB drops,
 /// as a real socket daemon must).

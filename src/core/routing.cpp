@@ -150,8 +150,8 @@ void CommunicationBackbone::wake(double& due, double now) {
   timersDue_ = std::min(timersDue_, now);
 }
 
-void CommunicationBackbone::enqueueReflection(SubscriptionEntry& sub,
-                                              Reflection r) {
+void CommunicationBackbone::enqueueReflection(
+    SubscriptionEntry& sub, std::shared_ptr<const Reflection> r) {
   sub.latest = r;
   if (sub.mailbox.size() >= kMailboxLimit) {
     sub.mailbox.pop_front();
@@ -280,13 +280,12 @@ void CommunicationBackbone::handleChannelAck(const ChannelAckMsg& m,
     }
     // Updates may have been delivered newest-wins before this ACK landed
     // (upgrade path); never re-deliver below them.
-    std::vector<net::ReliableFrame> ready;
-    ch.rq->setBase(std::max(m.firstSeq, ch.lastSeq + 1), ready);
-    deliverReliableReady(ch, ready);
+    ch.rq->setBase(std::max(m.firstSeq, ch.lastSeq + 1), rqReady_);
+    deliverReliableReady(ch);
   }
 }
 
-void CommunicationBackbone::handleUpdate(UpdateMsg& m, double now) {
+void CommunicationBackbone::handleUpdate(const UpdateView& m, double now) {
   const auto it = inChannels_.find(m.channelId);
   if (it == inChannels_.end()) {
     ++stats_.unknownChannelDrops;
@@ -305,12 +304,14 @@ void CommunicationBackbone::handleUpdate(UpdateMsg& m, double now) {
     // Reliable path: the queue owns ordering, duplicates and gap healing.
     // Retransmits legitimately arrive with old sequence numbers, so the
     // newest-wins cursor does not apply. A fed queue is polled at once.
+    // The queue may hold the frame past this datagram, so it gets the one
+    // owned copy of the payload.
     wake(ch.timerDue, now);
-    std::vector<net::ReliableFrame> ready;
-    ch.rq->offer(net::ReliableFrame{m.seq, m.timestamp, std::move(m.payload),
+    ch.rq->offer(net::ReliableFrame{m.seq, m.timestamp,
+                                    {m.payload.begin(), m.payload.end()},
                                     m.traced, m.pubWallSec, now},
-                 now, ready);
-    deliverReliableReady(ch, ready);
+                 now, rqReady_);
+    deliverReliableReady(ch);
     return;
   }
   if (m.seq <= ch.lastSeq) {
@@ -325,8 +326,9 @@ void CommunicationBackbone::handleUpdate(UpdateMsg& m, double now) {
   }
   const auto sit = subscriptions_.find(ch.subscription);
   if (sit == subscriptions_.end()) return;
-  Reflection r{sit->second.className, std::move(*attrs), m.timestamp, m.seq};
-  enqueueReflection(sit->second, std::move(r));
+  enqueueReflection(sit->second, std::make_shared<const Reflection>(Reflection{
+                                     sit->second.className, std::move(*attrs),
+                                     m.timestamp, m.seq}));
 }
 
 void CommunicationBackbone::handlePublisherHeartbeat(const HeartbeatMsg& m,
@@ -409,13 +411,15 @@ void CommunicationBackbone::compactSendWindow(PublicationEntry& pub) {
   pub.retx->pruneThrough(minAcked);
 }
 
-void CommunicationBackbone::deliverReliableReady(
-    InChannel& ch, std::vector<net::ReliableFrame>& ready) {
-  if (ready.empty()) return;
+void CommunicationBackbone::deliverReliableReady(InChannel& ch) {
+  if (rqReady_.empty()) return;
   const auto sit = subscriptions_.find(ch.subscription);
-  if (sit == subscriptions_.end()) return;
+  if (sit == subscriptions_.end()) {
+    rqReady_.clear();
+    return;
+  }
   const bool tracingOn = tracing();
-  for (net::ReliableFrame& f : ready) {
+  for (const net::ReliableFrame& f : rqReady_) {
     if (f.traced) {
       // Latency sampling: remember the newest released sample so the next
       // WINDOW_ACK can echo it back to the publisher. One slot suffices —
@@ -440,9 +444,11 @@ void CommunicationBackbone::deliverReliableReady(
       continue;
     }
     enqueueReflection(sit->second,
-                      Reflection{sit->second.className, std::move(*attrs),
-                                 f.timestamp, f.seq});
+                      std::make_shared<const Reflection>(
+                          Reflection{sit->second.className, std::move(*attrs),
+                                     f.timestamp, f.seq}));
   }
+  rqReady_.clear();
 }
 
 void CommunicationBackbone::attachTraceEcho(InChannel& ch, WindowAckMsg& ack,
@@ -531,9 +537,8 @@ void CommunicationBackbone::handlePublisherWindowAck(const WindowAckMsg& m,
   InChannel& ch = it->second;
   wake(ch.timerDue, now);
   ch.lastActivity = now;
-  std::vector<net::ReliableFrame> ready;
-  ch.rq->abandonThrough(m.cumulativeSeq, ready);
-  deliverReliableReady(ch, ready);
+  ch.rq->abandonThrough(m.cumulativeSeq, rqReady_);
+  deliverReliableReady(ch);
 }
 
 void CommunicationBackbone::handleSubscriberWindowAck(PublicationHandle pub,
@@ -645,14 +650,18 @@ void CommunicationBackbone::update(PublicationEntry& pub,
   // network round trip (§2.1 — one or many LPs can run on a computer).
   // Handles whose subscription has been resigned are erased eagerly so the
   // table cannot accumulate dead links (and channelCount stays truthful).
+  // Every local subscriber shares one copy of the update.
   auto& locals = pub.localSubscribers;
   std::size_t kept = 0;
+  std::shared_ptr<const Reflection> local;
   for (const SubscriptionHandle sh : locals) {
     const auto sit = subscriptions_.find(sh);
     if (sit == subscriptions_.end()) continue;  // stale: dropped below
     locals[kept++] = sh;
-    Reflection r{pub.className, attrs, timestamp, seq};
-    enqueueReflection(sit->second, std::move(r));
+    if (!local)
+      local = std::make_shared<const Reflection>(
+          Reflection{pub.className, attrs, timestamp, seq});
+    enqueueReflection(sit->second, local);
     ++stats_.updatesLocalFastPath;
   }
   locals.resize(kept);

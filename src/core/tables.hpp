@@ -36,7 +36,10 @@ inline constexpr double kTimerDueNow = -std::numeric_limits<double>::infinity();
 /// reflection to admit the newest (CbStats::mailboxOverflows).
 inline constexpr std::size_t kMailboxLimit = 1024;
 
-/// One delivered attribute update, as seen by a subscriber.
+/// One delivered attribute update, as seen by a subscriber. The CB decodes
+/// each update once into an immutable shared Reflection: the mailbox entry
+/// and the subscription's `latest` hold the same one, and a local update
+/// builds one for all its same-computer subscribers.
 struct Reflection {
   std::string className;
   AttributeSet attrs;
@@ -154,8 +157,8 @@ struct SubscriptionEntry {
   std::string className;
   net::QosClass qos = net::QosClass::kBestEffort;  // requested per channel
   double nextBroadcast = 0.0;
-  std::deque<Reflection> mailbox;
-  std::optional<Reflection> latest;
+  std::deque<std::shared_ptr<const Reflection>> mailbox;
+  std::shared_ptr<const Reflection> latest;
 };
 
 /// Live routing-table sizes (CommunicationBackbone::tableLoad), for tests

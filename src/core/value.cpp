@@ -1,5 +1,7 @@
 #include "core/value.hpp"
 
+#include <algorithm>
+
 namespace cod::core {
 
 namespace {
@@ -15,6 +17,15 @@ enum class Tag : std::uint8_t {
 
 const std::string kEmptyString;
 const std::vector<std::uint8_t> kEmptyBlob;
+
+/// First entry of a name-sorted attribute vector whose name is not below
+/// `name`.
+template <typename Attrs>
+auto lowerBound(Attrs& attrs, const std::string& name) {
+  return std::lower_bound(
+      attrs.begin(), attrs.end(), name,
+      [](const auto& entry, const std::string& n) { return entry.first < n; });
+}
 }  // namespace
 
 bool AttributeValue::asBool(bool fallback) const {
@@ -117,9 +128,26 @@ std::optional<AttributeValue> AttributeValue::decode(net::WireReader& r) {
   return std::nullopt;
 }
 
+AttributeSet::AttributeSet(
+    std::initializer_list<std::pair<const std::string, AttributeValue>> init) {
+  attrs_.reserve(init.size());
+  // std::map's rule: of repeated names the first one listed stays.
+  for (const auto& [name, value] : init)
+    if (!has(name)) set(name, value);
+}
+
+void AttributeSet::set(const std::string& name, AttributeValue v) {
+  const auto it = lowerBound(attrs_, name);
+  if (it != attrs_.end() && it->first == name) {
+    it->second = std::move(v);
+  } else {
+    attrs_.emplace(it, name, std::move(v));
+  }
+}
+
 const AttributeValue* AttributeSet::find(const std::string& name) const {
-  const auto it = attrs_.find(name);
-  return it != attrs_.end() ? &it->second : nullptr;
+  const auto it = lowerBound(attrs_, name);
+  return it != attrs_.end() && it->first == name ? &it->second : nullptr;
 }
 
 bool AttributeSet::getBool(const std::string& name, bool fallback) const {
@@ -170,12 +198,21 @@ std::optional<AttributeSet> AttributeSet::decode(
   const auto n = r.u16();
   if (!n) return std::nullopt;
   AttributeSet set;
+  // An entry takes at least 4 bytes (u16 name length, tag, 1-byte bool),
+  // so a corrupt count cannot reserve more than the payload could hold.
+  set.attrs_.reserve(std::min<std::size_t>(*n, r.remaining() / 4));
   for (std::uint16_t i = 0; i < *n; ++i) {
     auto name = r.str();
     if (!name) return std::nullopt;
     auto value = AttributeValue::decode(r);
     if (!value) return std::nullopt;
-    set.set(std::move(*name), std::move(*value));
+    // encode() writes names in ascending order, so a well-formed payload
+    // appends; names that arrive unsorted or repeated take set()'s path.
+    if (set.attrs_.empty() || set.attrs_.back().first < *name) {
+      set.attrs_.emplace_back(std::move(*name), std::move(*value));
+    } else {
+      set.set(*name, std::move(*value));
+    }
   }
   return set;
 }

@@ -4,9 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -59,16 +61,20 @@ class AttributeValue {
 };
 
 /// An ordered name → value map: the payload of one attribute update.
+///
+/// One vector of (name, value) pairs kept sorted by name, so a decoded set
+/// costs one allocation however many attributes it carries. Iteration
+/// order, lookups, equality and the encoding are those of a std::map keyed
+/// by name, repeated names included: set() and decode() keep the last
+/// value given for a name, the initializer-list constructor keeps the
+/// first.
 class AttributeSet {
  public:
   AttributeSet() = default;
-  AttributeSet(std::initializer_list<std::pair<const std::string, AttributeValue>> init)
-      : attrs_(init) {}
+  AttributeSet(std::initializer_list<std::pair<const std::string, AttributeValue>> init);
 
-  void set(const std::string& name, AttributeValue v) {
-    attrs_[name] = std::move(v);
-  }
-  bool has(const std::string& name) const { return attrs_.contains(name); }
+  void set(const std::string& name, AttributeValue v);
+  bool has(const std::string& name) const { return find(name) != nullptr; }
   /// Null if absent.
   const AttributeValue* find(const std::string& name) const;
 
@@ -95,7 +101,8 @@ class AttributeSet {
   bool operator==(const AttributeSet&) const = default;
 
  private:
-  std::map<std::string, AttributeValue> attrs_;
+  /// Sorted by name; names are unique.
+  std::vector<std::pair<std::string, AttributeValue>> attrs_;
 };
 
 }  // namespace cod::core
