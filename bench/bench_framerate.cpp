@@ -8,11 +8,13 @@
 // the FRAME_READY/SWAP exchange; free-running channels present as soon as
 // they finish. We sweep the polygon count and report both rates. Absolute
 // fps depends on this machine; the paper's shape — sync fps < free fps,
-// fps falling as polygons grow — is what must reproduce.
+// fps falling as polygons grow — is what must reproduce. The last line,
+// `COD_BENCH_SUMMARY {json}`, carries the table for bench/run_all.sh.
 
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -25,11 +27,15 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+constexpr int kWidth = 640;
+constexpr int kHeight = 480;
+constexpr int kFrames = 30;  // timed frames per polygon count
+
 struct Channel {
   sim::BuiltScene built;
   render::SurroundRig rig;
   render::Rasterizer raster;
-  render::Framebuffer fb{640, 480};
+  render::Framebuffer fb{kWidth, kHeight};
   int index = 0;
 
   explicit Channel(const scenario::Course& course, std::size_t polys, int idx)
@@ -103,20 +109,21 @@ int main() {
   const double barrierSec = measureBarrierLatency();
 
   std::printf("E1: surround-view frame rate vs polygon count\n");
-  std::printf("(3 channels, 640x480 per channel, swap-barrier latency "
+  std::printf("(3 channels, %dx%d per channel, swap-barrier latency "
               "%.2f ms)\n\n",
-              barrierSec * 1e3);
+              kWidth, kHeight, barrierSec * 1e3);
   std::printf("%10s %14s %14s %14s %10s\n", "polygons", "slowest-ch(ms)",
               "fps(sync)", "fps(free,min)", "overhead");
+  std::string rows;
 
   for (const std::size_t polys : {500u, 1000u, 2000u, 3235u, 6500u, 13000u}) {
     std::vector<std::unique_ptr<Channel>> channels;
     for (int i = 0; i < 3; ++i)
       channels.push_back(std::make_unique<Channel>(course, polys, i));
-    // Warm up, then time 30 frames rendered in parallel (one thread per
+    // Warm up, then time kFrames frames rendered in parallel (one thread per
     // display computer, as on the real rack).
     for (auto& c : channels) c->renderOnce();
-    const int frames = 30;
+    const int frames = kFrames;
     double maxChannelTotal = 0.0;   // free-run: slowest channel's own pace
     double barrierTotal = 0.0;      // sync: max over channels per frame
     std::vector<double> channelTotals(channels.size(), 0.0);
@@ -139,11 +146,22 @@ int main() {
       maxChannelTotal = std::max(maxChannelTotal, t);
     const double fpsSync = frames / barrierTotal;
     const double fpsFreeMin = frames / maxChannelTotal;
-    std::printf("%10zu %14.2f %14.1f %14.1f %9.1f%%\n", polys,
-                1e3 * barrierTotal / frames - 1e3 * barrierSec, fpsSync,
-                fpsFreeMin, 100.0 * (1.0 - fpsSync / fpsFreeMin));
+    const double slowestMs = 1e3 * barrierTotal / frames - 1e3 * barrierSec;
+    std::printf("%10zu %14.2f %14.1f %14.1f %9.1f%%\n", polys, slowestMs,
+                fpsSync, fpsFreeMin, 100.0 * (1.0 - fpsSync / fpsFreeMin));
+    char row[160];
+    std::snprintf(row, sizeof row,
+                  "%s{\"polygons\":%zu,\"slowest_channel_ms\":%.4f,"
+                  "\"fps_sync\":%.2f,\"fps_free_min\":%.2f}",
+                  rows.empty() ? "" : ",", polys, slowestMs, fpsSync,
+                  fpsFreeMin);
+    rows += row;
   }
   std::printf("\npaper reference: 16 fps at 3235 polygons (TNT2 M64, 2001); "
               "expect the same shape, not the same absolutes\n");
+  std::printf("COD_BENCH_SUMMARY {\"bench\":\"framerate\",\"channels\":3,"
+              "\"width\":%d,\"height\":%d,\"frames\":%d,"
+              "\"barrier_ms\":%.4f,\"rows\":[%s]}\n",
+              kWidth, kHeight, kFrames, barrierSec * 1e3, rows.c_str());
   return 0;
 }

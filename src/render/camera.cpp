@@ -21,11 +21,13 @@ void Camera::setPose(const Vec3& eye, const Quat& orientation) {
   const Vec3 fwd = orientation.rotate({1, 0, 0});
   const Vec3 up = orientation.rotate({0, 0, 1});
   view_ = Mat4::lookAt(eye, eye + fwd, up);
+  updateFrustum();
 }
 
 void Camera::lookAt(const Vec3& eye, const Vec3& target, const Vec3& up) {
   eye_ = eye;
   view_ = Mat4::lookAt(eye, target, up);
+  updateFrustum();
 }
 
 void Camera::setPerspective(double fovYRad, double aspect, double zNear,
@@ -35,11 +37,13 @@ void Camera::setPerspective(double fovYRad, double aspect, double zNear,
   zNear_ = zNear;
   zFar_ = zFar;
   proj_ = Mat4::perspective(fovYRad, aspect, zNear, zFar);
+  updateFrustum();
 }
 
-std::array<Plane, 6> Camera::frustumPlanes() const {
+void Camera::updateFrustum() {
+  viewProj_ = proj_ * view_;
   // Gribb–Hartmann extraction from the combined matrix (row-major).
-  const Mat4 m = viewProjection();
+  const Mat4& m = viewProj_;
   auto row = [&](int i) {
     return Vec4{m.m[i][0], m.m[i][1], m.m[i][2], m.m[i][3]};
   };
@@ -49,7 +53,7 @@ std::array<Plane, 6> Camera::frustumPlanes() const {
     const double len = n.norm();
     return len > 0 ? Plane{n / len, v.w / len} : Plane{};
   };
-  return {
+  planes_ = {
       toPlane(r3 + r0),  // left
       toPlane(r3 - r0),  // right
       toPlane(r3 + r1),  // bottom
@@ -60,7 +64,7 @@ std::array<Plane, 6> Camera::frustumPlanes() const {
 }
 
 bool Camera::sphereVisible(const math::Sphere& s) const {
-  for (const Plane& p : frustumPlanes()) {
+  for (const Plane& p : planes_) {
     if (p.signedDistance(s.center) < -s.radius) return false;
   }
   return true;

@@ -31,19 +31,25 @@ class Camera {
 
   const math::Mat4& view() const { return view_; }
   const math::Mat4& projection() const { return proj_; }
-  math::Mat4 viewProjection() const { return proj_ * view_; }
+  const math::Mat4& viewProjection() const { return viewProj_; }
 
   /// The six frustum planes in world space (normals pointing inward) —
   /// used for per-object bounding-sphere culling.
-  std::array<math::Plane, 6> frustumPlanes() const;
+  const std::array<math::Plane, 6>& frustumPlanes() const { return planes_; }
 
   /// Conservative sphere-in-frustum test.
   bool sphereVisible(const math::Sphere& s) const;
 
  private:
+  /// Recompute viewProj_ and planes_; every setter that moves view_ or
+  /// proj_ calls it, so culling reads them without rebuilding them.
+  void updateFrustum();
+
   math::Vec3 eye_;
   math::Mat4 view_;
   math::Mat4 proj_;
+  math::Mat4 viewProj_;
+  std::array<math::Plane, 6> planes_;
   double fovY_ = math::deg2rad(50.0);
   double aspect_ = 4.0 / 3.0;
   double zNear_ = 0.3;

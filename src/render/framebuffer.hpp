@@ -26,6 +26,15 @@ class Framebuffer {
   }
   void plot(int x, int y, double z, Color c);
 
+  /// Row `y`'s colour and depth, `width()` entries each, for span fills
+  /// that keep their own bounds.
+  std::uint32_t* colorRow(int y) {
+    return color_.data() + static_cast<std::size_t>(y) * w_;
+  }
+  double* depthRow(int y) {
+    return depth_.data() + static_cast<std::size_t>(y) * w_;
+  }
+
   /// Fraction of pixels whose depth was written this frame.
   double coverage() const;
 

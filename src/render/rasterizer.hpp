@@ -3,12 +3,29 @@
 // Stands in for the paper's TNT2 M64 graphics cards: frame cost genuinely
 // scales with the polygon and pixel load, so the frame-rate experiments
 // (E1/E2) measure a real rendering workload. Pipeline per frame:
-// per-object frustum cull (bounding sphere) → vertex transform → near-plane
-// clip → perspective divide → viewport map → flat-shaded two-sided
-// z-buffer triangle fill.
+//
+// 1. Per-object frustum cull: the mesh's bounding sphere, its radius
+//    scaled by the transform's largest column norm, against the camera's
+//    frustum planes, which the camera caches whenever it moves.
+// 2. Vertex transform, once per vertex of each surviving object, into
+//    world space (for shading) and clip space, kept in buffers reused
+//    across frames.
+// 3. Per triangle: clip-space trivial rejects and the near-plane clip;
+//    only then the flat two-sided shade and, for each fan triangle,
+//    perspective divide → viewport map → z-buffered fill.
+// 4. The fill evaluates each pixel's barycentrics directly from its centre
+//    (w0 and w1 from their edge functions, w2 = 1 − w0 − w1) and keeps the
+//    pixel when none is negative and its depth is strictly nearer. It does
+//    so only inside a per-row span cut from the three edges and widened by
+//    a band that bounds the rounding of those expressions, so the skipped
+//    pixels are ones the per-pixel test rejects too, and frames match a
+//    full bounding-box scan bit for bit. The barycentrics are not stepped
+//    incrementally across a row: stepping rounds differently from direct
+//    evaluation and would move edge pixels and depths.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "render/camera.hpp"
 #include "render/framebuffer.hpp"
@@ -25,6 +42,7 @@ struct RenderStats {
   std::uint64_t pixelsShaded = 0;
 
   void reset() { *this = {}; }
+  bool operator==(const RenderStats&) const = default;
 };
 
 class Rasterizer {
@@ -43,6 +61,8 @@ class Rasterizer {
 
   math::Vec3 light_{-0.4, 0.3, -0.85};
   RenderStats stats_;
+  std::vector<math::Vec3> world_;  // current object's vertices, world space
+  std::vector<math::Vec4> clip_;   // ... and clip space
 };
 
 }  // namespace cod::render
