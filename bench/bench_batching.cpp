@@ -6,9 +6,10 @@
 // of traffic to one peer rides a single kBatch container.
 //
 // BM_FrameFlush measures a simulated frame (3 publications updated, then
-// the tick flush) at fan-out 4 and 16, batched vs unbatched. The headline
-// counter is pkts/frame: 3*fan un-batched vs fan batched (>= 3x fewer).
-// BM_DecodeBatchContainer prices the receive-side unpack.
+// the tick flush) at fan-out 4 and 16. The headline counter is
+// pkts/frame: fan, one container per peer, where one datagram per frame
+// would cost 3*fan. BM_DecodeBatchContainer prices the receive-side
+// unpack.
 
 #include <benchmark/benchmark.h>
 
@@ -66,14 +67,12 @@ class CountingTransport final : public net::Transport {
 };
 
 /// One simulated frame: 3 publications updated, then the tick flush.
-/// args: {fan-out, batching on}.
+/// arg: fan-out.
 void BM_FrameFlush(benchmark::State& state) {
   const std::uint32_t fan = static_cast<std::uint32_t>(state.range(0));
-  core::CommunicationBackbone::Config cfg;
-  cfg.batch.enabled = state.range(1) != 0;
   auto transport = std::make_unique<CountingTransport>();
   CountingTransport* net = transport.get();
-  core::CommunicationBackbone cb("pub", std::move(transport), cfg);
+  core::CommunicationBackbone cb("pub", std::move(transport));
   NullLp pub;
   cb.attach(pub);
   constexpr int kPubsPerFrame = 3;
@@ -141,10 +140,5 @@ void BM_DecodeBatchContainer(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_FrameFlush)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->ArgNames({"fan", "batched"});
+BENCHMARK(BM_FrameFlush)->Arg(4)->Arg(16)->ArgName("fan");
 BENCHMARK(BM_DecodeBatchContainer);

@@ -179,17 +179,15 @@ class NullTransport final : public net::Transport {
 
 /// Pure update fan-out: updateAttributeValues() against N established
 /// channels, no LAN in the way — the path the encode-once/patch-channel-id
-/// fast path optimizes. Batching is pinned off: this bench isolates the
-/// per-frame serialization cost (a no-op transport makes the staging
-/// memcpy look like pure loss); the datagram economics of batching are
-/// bench_batching's BM_FrameFlush.
+/// fast path optimizes. Each update is flushed at once, so an iteration
+/// prices one update's staging plus its flush: N bare datagrams, one per
+/// peer. The datagram economics of coalescing are bench_batching's
+/// BM_FrameFlush.
 void BM_FanOutSendOnly(benchmark::State& state) {
   const std::uint32_t fan = static_cast<std::uint32_t>(state.range(0));
   auto transport = std::make_unique<NullTransport>();
   NullTransport* net = transport.get();
-  core::CommunicationBackbone::Config cfg;
-  cfg.batch.enabled = false;
-  core::CommunicationBackbone cb("pub", std::move(transport), cfg);
+  core::CommunicationBackbone cb("pub", std::move(transport));
   NullLp pub;
   cb.attach(pub);
   const auto h = cb.publishObjectClass(pub, "bench.data");
@@ -203,6 +201,7 @@ void BM_FanOutSendOnly(benchmark::State& state) {
   double t = 0.0;
   for (auto _ : state) {
     cb.updateAttributeValues(h, attrs, t);
+    cb.flushBatches();
     t += 1e-6;
   }
   state.counters["fan"] = fan;

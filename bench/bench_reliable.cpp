@@ -153,13 +153,12 @@ void BM_FanOutSendOnlyReliable(benchmark::State& state) {
 /// A window pinned at its frame cap with no acks arriving: every update
 /// evicts the oldest frame to admit the new one. The frame cap is the
 /// send window's only memory bound, so this is what a subscriber that
-/// stops acking costs its publisher per update.
+/// stops acking costs its publisher per update. The window is filled to
+/// its net::kSendWindowFrames cap before timing starts.
 void BM_OverflowEvictOldest(benchmark::State& state) {
-  core::CommunicationBackbone::Config cfg;
-  cfg.reliable.sendWindowFrames = 8;
   auto transport = std::make_unique<NullTransport>();
   NullTransport* net = transport.get();
-  core::CommunicationBackbone cb("pub", std::move(transport), cfg);
+  core::CommunicationBackbone cb("pub", std::move(transport));
   CountingLp pub;
   cb.attach(pub);
   const auto h = cb.publishObjectClass(pub, "bench.data");
@@ -169,6 +168,11 @@ void BM_OverflowEvictOldest(benchmark::State& state) {
   cb.tick(0.0);
   const core::AttributeSet attrs = sampleAttrs();
   double t = 0.0;
+  for (std::size_t i = 0; i < net::kSendWindowFrames; ++i) {
+    cb.updateAttributeValues(h, attrs, t);
+    t += 1e-6;
+  }
+  cb.flushBatches();
   for (auto _ : state) {
     cb.updateAttributeValues(h, attrs, t);
     t += 1e-6;

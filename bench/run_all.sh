@@ -75,11 +75,12 @@ fi
 
 # Baselines regression hunts diff against: the reliable-channel numbers
 # (vs best effort, and the price of evicting the oldest frame from a full
-# send window), the batching numbers (datagrams/frame batched vs
-# unbatched), the telemetry overhead share (bench_telemetry exits
-# non-zero past its 2% budget), the CB routing numbers (the wide-table
-# lookups must stay flat 1 -> 10k registered pairs), the flight-recorder
-# numbers (bench_trace exits non-zero past its 1% recorder-share budget)
+# send window), the batching numbers (datagrams per frame and bytes per
+# datagram at fan-out 4 and 16), the telemetry overhead share
+# (bench_telemetry exits non-zero past its 2% budget), the CB routing
+# numbers (the wide-table lookups must stay flat 1 -> 10k registered
+# pairs), the flight-recorder numbers (bench_trace exits non-zero past
+# its 1% recorder-share budget)
 # and the flight-data archive numbers (bench_archive exits non-zero past
 # its 1% append-share budget, and prices the cod_inspect replay path).
 # Warn (stderr) if any was not produced — e.g. Google Benchmark missing,

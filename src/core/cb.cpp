@@ -115,70 +115,62 @@ std::uint32_t CommunicationBackbone::arenaAppend(
   return off;
 }
 
-void CommunicationBackbone::appendStaged(PeerBatch& b, const StagedFrame& f) {
+void CommunicationBackbone::sendBare(const net::NodeAddr& addr,
+                                     const StagedFrame& f) {
+  const std::uint8_t* base =
+      stageArena_.data() + f.off + kBatchFramePrefixBytes;
+  if (!f.patched) {
+    transport_->send(addr, {base, f.len});
+    return;
+  }
+  // [type u8][channel id u32 @1][rest]: three spans swap in the id
+  // without touching the shared frame bytes. sendv consumes the spans
+  // before returning, so arena growth afterwards is harmless.
+  const net::ByteSpan parts[3] = {
+      {base, 1}, {f.chanLe, 4}, {base + 5, f.len - 5}};
+  transport_->sendv(addr, parts);
+}
+
+void CommunicationBackbone::stageFrame(PeerBatch& b, const StagedFrame& f) {
+  // Staging itself is not recorded per frame — the flush event carries
+  // the frame count, and a per-frame instant here would be the single
+  // largest event source in a busy mesh (3+ per tick).
+  if (!b.empty() && (b.sizeWith(f.len) > kBatchByteBudget ||
+                     b.frames.size() >= kBatchMaxFrames)) {
+    ++stats_.batch.budgetFlushes;
+    flushSlot(b);
+  }
+  if (b.empty() && b.sizeWith(f.len) > kBatchByteBudget) {
+    // Even alone this frame busts the budget: bypass the container (the
+    // bare frame is wire-compatible; the transport fragments if it must).
+    sendBare(b.addr, f);
+    ++stats_.batch.oversizeSends;
+    hists_.flushBytes.record(static_cast<double>(f.len));
+    if (tracing())
+      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0, f.len);
+    return;
+  }
   b.stagedBytes = (b.frames.empty() ? kBatchHeaderBytes : b.stagedBytes) +
                   kBatchFramePrefixBytes + f.len;
   b.frames.push_back(f);
   ++stagedFrameCount_;
 }
 
-void CommunicationBackbone::sendPatchedBare(const net::NodeAddr& addr,
-                                            std::uint32_t off,
-                                            std::uint32_t len,
-                                            const std::uint8_t* chanLe) {
-  // [type u8][channel id u32 @1][rest]: three spans swap in the id
-  // without touching the shared frame bytes. sendv consumes the spans
-  // before returning, so arena growth afterwards is harmless.
-  const std::uint8_t* base = stageArena_.data() + off + kBatchFramePrefixBytes;
-  const net::ByteSpan parts[3] = {
-      {base, 1}, {chanLe, 4}, {base + 5, len - 5}};
-  transport_->sendv(addr, parts);
-}
-
 void CommunicationBackbone::stageSend(std::uint32_t slot,
                                       std::span<const std::uint8_t> frame) {
-  // Staging itself is not recorded per frame — the flush event carries
-  // the frame count, and a per-frame instant here would be the single
-  // largest event source in a busy mesh (3+ per tick).
-  PeerBatch& b = peerBatches_[slot];
-  if (!cfg_.batch.enabled) {
-    transport_->send(b.addr, frame);
-    hists_.flushBytes.record(static_cast<double>(frame.size()));
-    if (tracing())
-      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0,
-                 frame.size());
-    return;
-  }
-  if (!b.empty() && (b.sizeWith(frame.size()) > cfg_.batch.byteBudget ||
-                     b.frames.size() >= kBatchMaxFrames)) {
-    ++stats_.batch.budgetFlushes;
-    flushSlot(b);
-  }
-  if (b.empty() && b.sizeWith(frame.size()) > cfg_.batch.byteBudget) {
-    // Even alone this frame busts the budget: bypass the container (the
-    // bare frame is wire-compatible; the transport fragments if it must).
-    transport_->send(b.addr, frame);
-    ++stats_.batch.oversizeSends;
-    hists_.flushBytes.record(static_cast<double>(frame.size()));
-    if (tracing())
-      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0,
-                 frame.size());
-    return;
-  }
   StagedFrame f;
   f.off = arenaAppend(frame);
   f.len = static_cast<std::uint32_t>(frame.size());
-  appendStaged(b, f);
+  stageFrame(peerBatches_[slot], f);
 }
 
 void CommunicationBackbone::stagePatched(std::uint32_t slot, std::uint32_t off,
                                          std::uint32_t len,
                                          std::uint32_t channelId) {
-  // The update fan-out's per-channel path: same decision tree as
-  // stageSend, but the frame bytes are already in the arena (appended
-  // once for the whole fan-out) and only the 4 channel-id bytes differ —
-  // staging a channel costs a 16-byte descriptor, not a frame copy.
-  PeerBatch& b = peerBatches_[slot];
+  // The update fan-out's per-channel path: the frame bytes are already in
+  // the arena (appended once for the whole fan-out) and only the 4
+  // channel-id bytes differ — staging a channel costs a 16-byte
+  // descriptor, not a frame copy.
   StagedFrame f;
   f.off = off;
   f.len = len;
@@ -187,27 +179,7 @@ void CommunicationBackbone::stagePatched(std::uint32_t slot, std::uint32_t off,
   f.chanLe[2] = static_cast<std::uint8_t>((channelId >> 16) & 0xFF);
   f.chanLe[3] = static_cast<std::uint8_t>((channelId >> 24) & 0xFF);
   f.patched = true;
-  if (!cfg_.batch.enabled) {
-    sendPatchedBare(b.addr, off, len, f.chanLe);
-    hists_.flushBytes.record(static_cast<double>(len));
-    if (tracing())
-      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0, len);
-    return;
-  }
-  if (!b.empty() && (b.sizeWith(len) > cfg_.batch.byteBudget ||
-                     b.frames.size() >= kBatchMaxFrames)) {
-    ++stats_.batch.budgetFlushes;
-    flushSlot(b);
-  }
-  if (b.empty() && b.sizeWith(len) > cfg_.batch.byteBudget) {
-    sendPatchedBare(b.addr, off, len, f.chanLe);
-    ++stats_.batch.oversizeSends;
-    hists_.flushBytes.record(static_cast<double>(len));
-    if (tracing())
-      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0, len);
-    return;
-  }
-  appendStaged(b, f);
+  stageFrame(peerBatches_[slot], f);
 }
 
 void CommunicationBackbone::flushSlot(PeerBatch& b) {
@@ -216,17 +188,11 @@ void CommunicationBackbone::flushSlot(PeerBatch& b) {
   const std::uint8_t* arena = stageArena_.data();
   std::size_t sentBytes;
   if (frames == 1) {
-    // A one-frame container is pure overhead — and stripping it keeps a
-    // lone message byte-identical to the un-batched protocol.
-    const StagedFrame& f = b.frames.front();
-    if (!f.patched) {
-      transport_->send(
-          b.addr, {arena + f.off + kBatchFramePrefixBytes, f.len});
-    } else {
-      sendPatchedBare(b.addr, f.off, f.len, f.chanLe);
-    }
+    // A one-frame container is pure overhead: a lone message leaves as
+    // its bare frame.
+    sendBare(b.addr, b.frames.front());
     ++stats_.batch.soloFlushes;
-    sentBytes = f.len;
+    sentBytes = b.frames.front().len;
   } else {
     // Scatter-gather container: stack header + one span per unpatched
     // frame ([len][frame] is already contiguous in the arena), three per
@@ -479,16 +445,15 @@ void CommunicationBackbone::handleDatagram(const net::Datagram& d, double now) {
                d.payload.size());
   if (!d.payload.empty() &&
       d.payload.front() == static_cast<std::uint8_t>(MsgType::kBatch)) {
-    // Container from a batching sender: walk the length-prefixed
-    // sub-frames as views (no copies) and dispatch each as if it had
-    // arrived alone. Interop is symmetric — bare frames from un-batched
-    // senders take the plain path below unchanged.
+    // Container: walk the length-prefixed sub-frames as views (no
+    // copies) and dispatch each as if it had arrived alone. Bare frames
+    // (solo flushes, oversize frames) take the plain path below.
     //
     // The framing is validated in full BEFORE anything is dispatched: a
     // corrupt container must have no side effects, exactly like decode()
     // rejecting it wholesale (a half-applied datagram would be a state
-    // the un-batched protocol can never produce). validateBatchBody is
-    // the same contract decode() enforces.
+    // no sender can produce). validateBatchBody is the same contract
+    // decode() enforces.
     const auto body = std::span<const std::uint8_t>(d.payload).subspan(1);
     const auto count = validateBatchBody(body);
     if (!count) {

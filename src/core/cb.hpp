@@ -166,31 +166,16 @@ class CommunicationBackbone {
     /// publishers that join late are still discovered. 0 disables it,
     /// which is the paper's literal stop-after-first-ACK behaviour.
     double refreshIntervalSec = 1.0;
-    /// Retransmit CHANNEL_CONNECTION if the CHANNEL_ACK is lost.
-    double connectRetrySec = 0.2;
-    /// Keep-alive cadence on live channels.
-    double heartbeatIntervalSec = 0.5;
     /// A channel with no traffic or heartbeat for this long is dropped and
-    /// (on the subscriber side) rediscovery resumes.
+    /// (on the subscriber side) rediscovery resumes. Keep it several
+    /// kHeartbeatIntervalSec long, or idle channels time out between
+    /// keep-alives.
     double channelTimeoutSec = 3.0;
     /// Push reflections to LogicalProcess::reflectAttributeValues on tick.
     /// (Pull via poll()/latest() works in either mode.)
     bool pushDelivery = true;
     /// Tunables of the kReliableOrdered channel machinery.
     net::ReliableConfig reliable;
-    /// Tunables of the per-peer send coalescer.
-    struct Batch {
-      /// Stage outbound frames per destination and flush them as one
-      /// kBatch container per peer per tick. Off restores the one-
-      /// datagram-per-frame wire behaviour exactly.
-      bool enabled = true;
-      /// Container size cap, bytes — keep one flush under the path MTU so
-      /// the LAN never fragments it. A staged batch that a new frame
-      /// would push past this flushes early; a single frame larger than
-      /// the budget bypasses the container and is sent bare.
-      std::size_t byteBudget = 1200;
-    };
-    Batch batch;
     /// Optional flight recorder (telemetry/trace.hpp). Not owned; may be
     /// shared by several CBs (each registers its own lane). Hot paths
     /// record into it only while it exists and is enabled, so a null
@@ -484,7 +469,7 @@ class CommunicationBackbone {
     net::NodeAddr addr;
     std::vector<StagedFrame> frames;
     /// Container size if flushed now: kBatchHeaderBytes + Σ(4 + len).
-    /// 0 when empty (mirrors BatchBuilder::sizeWith's accounting).
+    /// 0 when empty.
     std::size_t stagedBytes = 0;
     std::uint32_t channelRefs = 0;  // live channels caching this index
     bool active = false;            // false: parked on the free list
@@ -507,8 +492,7 @@ class CommunicationBackbone {
   void releaseBatchSlot(std::uint32_t slot);
   /// Park an unpinned, empty, active slot on the free list.
   void reclaimSlotIfIdle(std::uint32_t slot);
-  /// Stage one encoded frame for `dst`; with batching disabled this is a
-  /// plain transport send. May flush early on the byte budget.
+  /// Stage one encoded frame for `dst` (copied into the staging arena).
   void stageSend(const net::NodeAddr& dst, std::span<const std::uint8_t> frame);
   void stageSend(std::uint32_t slot, std::span<const std::uint8_t> frame);
   /// Stage through a channel's cached slot (resolving and pinning it on
@@ -525,7 +509,7 @@ class CommunicationBackbone {
   std::uint32_t arenaAppend(std::span<const std::uint8_t> frame);
   /// Stage a frame already in the arena with its channel-id bytes
   /// rewritten to `channelId` at flush time — the update fan-out's
-  /// zero-copy per-channel path. Same flush decisions as stageSend.
+  /// zero-copy per-channel path.
   void stagePatched(std::uint32_t slot, std::uint32_t off, std::uint32_t len,
                     std::uint32_t channelId);
   template <typename Channel>
@@ -535,12 +519,13 @@ class CommunicationBackbone {
       ch.batchSlot = acquireBatchSlot(ch.remote);
     stagePatched(ch.batchSlot, off, len, ch.remoteChannelId);
   }
-  /// Shared tail of the two staging paths: append the descriptor and
-  /// grow the budget accounting.
-  void appendStaged(PeerBatch& b, const StagedFrame& f);
-  /// Send an arena frame bare with its channel id patched (three spans).
-  void sendPatchedBare(const net::NodeAddr& addr, std::uint32_t off,
-                       std::uint32_t len, const std::uint8_t* chanLe);
+  /// The one staging decision both paths share: flush `b` early if `f`
+  /// would push it past kBatchByteBudget or kBatchMaxFrames, send `f`
+  /// bare if even alone it busts the budget, else append it.
+  void stageFrame(PeerBatch& b, const StagedFrame& f);
+  /// Send one staged frame as its own datagram (a patched frame as three
+  /// spans, so the shared bytes stay untouched).
+  void sendBare(const net::NodeAddr& addr, const StagedFrame& f);
   void flushSlot(PeerBatch& b);
 
   std::string name_;

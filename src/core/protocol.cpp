@@ -132,43 +132,6 @@ std::vector<std::uint8_t> encode(const WindowAckMsg& m) {
   return w.take();
 }
 
-void BatchBuilder::append(std::span<const std::uint8_t> frame) {
-  assert(!frame.empty());
-  assert(count_ < kBatchMaxFrames);
-  if (buf_.empty()) {
-    buf_.push_back(static_cast<std::uint8_t>(MsgType::kBatch));
-    buf_.push_back(0);  // u16 count, backpatched by bytes()
-    buf_.push_back(0);
-  }
-  const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
-  for (std::size_t i = 0; i < kBatchFramePrefixBytes; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((n >> (8 * i)) & 0xFF));
-  buf_.insert(buf_.end(), frame.begin(), frame.end());
-  ++count_;
-}
-
-std::size_t BatchBuilder::sizeWith(std::size_t frameSize) const {
-  const std::size_t current = empty() ? kBatchHeaderBytes : buf_.size();
-  return current + kBatchFramePrefixBytes + frameSize;
-}
-
-std::span<const std::uint8_t> BatchBuilder::bytes() {
-  buf_[1] = static_cast<std::uint8_t>(count_ & 0xFF);
-  buf_[2] = static_cast<std::uint8_t>(count_ >> 8);
-  return buf_;
-}
-
-std::span<const std::uint8_t> BatchBuilder::soloFrame() const {
-  assert(count_ == 1);
-  return std::span<const std::uint8_t>(buf_).subspan(kBatchHeaderBytes +
-                                                     kBatchFramePrefixBytes);
-}
-
-void BatchBuilder::clear() {
-  buf_.clear();
-  count_ = 0;
-}
-
 std::optional<std::uint16_t> validateBatchBody(
     std::span<const std::uint8_t> body) {
   net::WireReader r(body);
@@ -192,16 +155,15 @@ std::optional<std::uint16_t> validateBatchBody(
 }
 
 std::vector<std::uint8_t> encode(const BatchMsg& m) {
-  BatchBuilder b;
-  for (const auto& frame : m.frames) b.append(frame);
-  if (b.empty()) {
-    // The coalescer never produces an empty container and decode()
-    // rejects one; the generic encoder still emits the canonical header
-    // so round-trip tests can probe that rejection.
-    return {static_cast<std::uint8_t>(MsgType::kBatch), 0, 0};
-  }
-  const auto bytes = b.bytes();
-  return std::vector<std::uint8_t>(bytes.begin(), bytes.end());
+  // The generic encoder frames whatever it is given — an empty container
+  // or an empty sub-frame too, so tests can probe decode()'s rejections.
+  // The coalescer builds its containers as iovec spans (cb.cpp) and never
+  // calls this.
+  assert(m.frames.size() <= kBatchMaxFrames);
+  net::WireWriter w = header(MsgType::kBatch);
+  w.u16(static_cast<std::uint16_t>(m.frames.size()));
+  for (const auto& frame : m.frames) w.blob(frame);
+  return w.take();
 }
 
 std::optional<UpdateView> decodeUpdate(std::span<const std::uint8_t> frame) {

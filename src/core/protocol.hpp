@@ -186,42 +186,16 @@ struct BatchMsg {
   std::vector<std::vector<std::uint8_t>> frames;
 };
 
-/// Incremental kBatch assembly for the send coalescer: sub-frames are
-/// appended straight into the container buffer (no per-frame allocation),
-/// and the count is backpatched when the datagram is taken. The buffer's
-/// capacity survives clear(), so a steady-state flush cycle is
-/// allocation-free.
-class BatchBuilder {
- public:
-  /// Append one already-encoded wire message as a sub-frame.
-  void append(std::span<const std::uint8_t> frame);
-
-  std::size_t frameCount() const { return count_; }
-  bool empty() const { return count_ == 0; }
-  /// Container size on the wire if `frameSize` more bytes were appended.
-  std::size_t sizeWith(std::size_t frameSize) const;
-
-  /// The finished container (backpatches the count). Valid only while at
-  /// least one frame is staged.
-  std::span<const std::uint8_t> bytes();
-  /// When exactly one frame is staged the container is pure overhead: this
-  /// is that frame's bytes, unwrapped — byte-identical to an un-batched
-  /// send of the same message.
-  std::span<const std::uint8_t> soloFrame() const;
-
-  /// Drop the staged frames but keep the buffer's capacity.
-  void clear();
-
- private:
-  std::vector<std::uint8_t> buf_;
-  std::uint16_t count_ = 0;
-};
-
 /// kBatch container framing constants: [u8 type][u16 count] header, then a
 /// u32 length prefix before each sub-frame.
 inline constexpr std::size_t kBatchHeaderBytes = 3;
 inline constexpr std::size_t kBatchFramePrefixBytes = 4;
 inline constexpr std::size_t kBatchMaxFrames = 0xFFFF;
+/// The send coalescer's container size cap, bytes: one flush stays under
+/// the path MTU, so the LAN never fragments it. A staged container that a
+/// new frame would push past this flushes early; a frame that busts it on
+/// its own leaves bare.
+inline constexpr std::size_t kBatchByteBudget = 1200;
 
 /// Validate a kBatch container body (everything after the type byte)
 /// against the framing rules: count > 0, every sub-frame non-empty and

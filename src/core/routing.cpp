@@ -242,8 +242,7 @@ void CommunicationBackbone::handleChannelConnection(
     ch.lastAckResendSec = now;      // the ack below counts as the first
     ch.qosConfirmed = m.qos == ch.qos;  // false iff upgraded by our floor
     if (ch.qos == net::QosClass::kReliableOrdered && !pub.retx) {
-      pub.retx = std::make_unique<net::ReliableSendWindow>(cfg_.reliable,
-                                                           stats_.reliable);
+      pub.retx = std::make_unique<net::ReliableSendWindow>(stats_.reliable);
       pub.retx->attachRetransmitDelayHistogram(&hists_.retransmitDelaySec);
     }
     pub.channels.push_back(std::move(ch));
@@ -581,7 +580,7 @@ void CommunicationBackbone::handleSubscriberWindowAck(PublicationHandle pub,
   if (!wasConfirmed && p.retx) {
     // The QoS upgrade just landed: every frame withheld while the
     // subscriber was QoS-blind leaves NOW, as one burst, instead of
-    // dribbling out of the tail-RTO sweep at maxRetransmitPerSweep per
+    // dribbling out of the tail-RTO sweep at kMaxRetransmitPerSweep per
     // timeout. These are first transmissions on this channel — counted
     // as data and excluded from the retransmit tally, or the
     // reliable-layer loss estimate would see a flurry of "re-sends" that
@@ -722,7 +721,7 @@ bool CommunicationBackbone::inChannelTimer(
   // sequence), so inbound data marking the channel live is not enough to
   // stop the connection retries.
   const bool needsAck = !ch.live || (ch.rq && !ch.rq->baseKnown());
-  if (needsAck && now - ch.lastConnectSent >= cfg_.connectRetrySec) {
+  if (needsAck && now - ch.lastConnectSent >= kConnectRetrySec) {
     const auto sit = subscriptions_.find(ch.subscription);
     if (sit != subscriptions_.end()) {
       const ChannelConnectionMsg connect{ch.subscription,
@@ -754,7 +753,7 @@ bool CommunicationBackbone::inChannelTimer(
       ch.lastHeartbeatSent = now;
     }
   }
-  if (ch.live && now - ch.lastHeartbeatSent >= cfg_.heartbeatIntervalSec) {
+  if (ch.live && now - ch.lastHeartbeatSent >= kHeartbeatIntervalSec) {
     // Subscriber keep-alive so the publisher can garbage-collect dead
     // channels (we may never send anything else on this direction).
     if (subHeartbeat.empty())
@@ -762,7 +761,7 @@ bool CommunicationBackbone::inChannelTimer(
     patchChannelId(subHeartbeat, ch.channelId);
     stageToChannel(ch, subHeartbeat);
     ch.lastHeartbeatSent = now;
-    if (cfg_.batch.enabled && ch.rq) {
+    if (ch.rq) {
       // Piggyback the cumulative ack on the keep-alive that is leaving
       // anyway: a quiet reliable link keeps the publisher's window
       // pruned without ever paying a separate control datagram.
@@ -778,11 +777,10 @@ bool CommunicationBackbone::inChannelTimer(
   // deadlines, from the state this run left behind.
   double due = net::dueAfter(ch.lastActivity, cfg_.channelTimeoutSec);
   if (needsAck)
-    due = std::min(due,
-                   net::dueAfter(ch.lastConnectSent, cfg_.connectRetrySec));
+    due = std::min(due, net::dueAfter(ch.lastConnectSent, kConnectRetrySec));
   if (ch.live)
     due = std::min(
-        due, net::dueAfter(ch.lastHeartbeatSent, cfg_.heartbeatIntervalSec));
+        due, net::dueAfter(ch.lastHeartbeatSent, kHeartbeatIntervalSec));
   if (ch.rq) due = std::min(due, ch.rq->nextTimerDue());
   ch.timerDue = due;
   return now - ch.lastActivity > cfg_.channelTimeoutSec;
@@ -806,7 +804,7 @@ void CommunicationBackbone::publicationTimer(
   auto& chans = pub.channels;
   for (OutChannel& ch : chans) {
     if (ch.qos == net::QosClass::kReliableOrdered && !ch.windowAckSeen &&
-        now - ch.lastAckResendSec >= cfg_.connectRetrySec) {
+        now - ch.lastAckResendSec >= kConnectRetrySec) {
       // Until the first WINDOW_ACK arrives the subscriber may not know
       // this channel is reliable (its CHANNEL_ACK can be lost while
       // data keeps it live): repeat the ack with the original base.
@@ -814,7 +812,7 @@ void CommunicationBackbone::publicationTimer(
                                               ch.qos, ch.firstSeq}));
       ch.lastAckResendSec = now;
     }
-    if (now - ch.lastSentSec >= cfg_.heartbeatIntervalSec) {
+    if (now - ch.lastSentSec >= kHeartbeatIntervalSec) {
       if (pubHeartbeat.empty())
         pubHeartbeat = encode(HeartbeatMsg{0, now, /*fromPublisher=*/true});
       patchChannelId(pubHeartbeat, ch.remoteChannelId);
@@ -822,7 +820,7 @@ void CommunicationBackbone::publicationTimer(
       ch.lastSentSec = now;
     }
   }
-  const double stalledAfterSec = 2.0 * cfg_.heartbeatIntervalSec;
+  const double stalledAfterSec = 2.0 * kHeartbeatIntervalSec;
   const auto stalled = [&](const OutChannel& ch) {
     return now - ch.lastHeardSec > stalledAfterSec;
   };
@@ -903,10 +901,9 @@ void CommunicationBackbone::publicationTimer(
   std::uint64_t minUnacked = std::numeric_limits<std::uint64_t>::max();
   for (const OutChannel& ch : chans) {
     due = std::min({due, net::dueAfter(ch.lastHeardSec, cfg_.channelTimeoutSec),
-                    net::dueAfter(ch.lastSentSec, cfg_.heartbeatIntervalSec)});
+                    net::dueAfter(ch.lastSentSec, kHeartbeatIntervalSec)});
     if (ch.qos == net::QosClass::kReliableOrdered && !ch.windowAckSeen)
-      due = std::min(due,
-                     net::dueAfter(ch.lastAckResendSec, cfg_.connectRetrySec));
+      due = std::min(due, net::dueAfter(ch.lastAckResendSec, kConnectRetrySec));
     if (ch.qos == net::QosClass::kReliableOrdered && ch.qosConfirmed &&
         !stalled(ch))
       minUnacked = std::min(minUnacked, ch.cumAcked + 1);
@@ -914,7 +911,7 @@ void CommunicationBackbone::publicationTimer(
   if (pub.retx)
     due = std::min(due,
                    net::dueAfter(pub.retx->earliestUnackedSentSec(minUnacked),
-                                 cfg_.reliable.retxTimeoutSec));
+                                 net::kRetxTimeoutSec));
   pub.timerDue = due;
 }
 

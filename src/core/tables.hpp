@@ -36,6 +36,15 @@ inline constexpr double kTimerDueNow = -std::numeric_limits<double>::infinity();
 /// reflection to admit the newest (CbStats::mailboxOverflows).
 inline constexpr std::size_t kMailboxLimit = 1024;
 
+/// A subscriber re-sends CHANNEL_CONNECTION, and a publisher re-sends the
+/// CHANNEL_ACK of a reliable channel, this long after the last attempt
+/// while the handshake is still unanswered.
+inline constexpr double kConnectRetrySec = 0.2;
+
+/// Keep-alive cadence on live channels: either side sends a HEARTBEAT
+/// once it has sent nothing else on a channel for this long.
+inline constexpr double kHeartbeatIntervalSec = 0.5;
+
 /// One delivered attribute update, as seen by a subscriber. The CB decodes
 /// each update once into an immutable shared Reflection: the mailbox entry
 /// and the subscription's `latest` hold the same one, and a local update

@@ -24,7 +24,7 @@ void ReliableSendWindow::store(std::uint64_t seq,
   e.lastSentSec = now;  // storing happens at first send
   frames_[seq] = std::move(e);
   ++stats_->framesBuffered;
-  while (frames_.size() > cfg_->sendWindowFrames) {
+  while (frames_.size() > kSendWindowFrames) {
     highestEvicted_ = std::max(highestEvicted_, frames_.begin()->first);
     frames_.erase(frames_.begin());
     ++stats_->sendWindowEvictions;
@@ -62,7 +62,7 @@ std::vector<std::uint64_t> ReliableSendWindow::takeTailRetransmits(
     std::uint64_t minUnacked, double now) {
   std::vector<std::uint64_t> due;
   for (auto it = frames_.lower_bound(minUnacked); it != frames_.end(); ++it) {
-    if (now - it->second.lastSentSec < cfg_->retxTimeoutSec) continue;
+    if (now - it->second.lastSentSec < kRetxTimeoutSec) continue;
     if (retxDelayHist_ != nullptr)
       retxDelayHist_->record(now - it->second.lastSentSec);
     it->second.lastSentSec = now;
@@ -72,7 +72,7 @@ std::vector<std::uint64_t> ReliableSendWindow::takeTailRetransmits(
     // NACK path) and dataFramesSent use, which the reliable-layer loss
     // estimate divides against.
     due.push_back(it->first);
-    if (due.size() >= cfg_->maxRetransmitPerSweep) break;
+    if (due.size() >= kMaxRetransmitPerSweep) break;
   }
   return due;
 }
@@ -144,7 +144,7 @@ ReliableReceiveQueue::Offer ReliableReceiveQueue::offer(
     noteDuplicate(frame.seq, now);
     return Offer::kDuplicate;
   }
-  if (buffer_.size() >= cfg_->reorderLimit) {
+  if (buffer_.size() >= kReorderLimit) {
     ++stats_->reorderOverflows;
     return Offer::kOverflow;  // stays missing; a NACK will re-fetch it
   }
@@ -238,7 +238,7 @@ std::vector<std::uint64_t> ReliableReceiveQueue::collectNacks(double now) {
   }
   // Enumerate the holes below the buffered frames. Track more than one
   // NACK's worth so later holes age while earlier ones are in repair.
-  const std::size_t trackCap = 4 * cfg_->maxNacksPerMessage;
+  const std::size_t trackCap = 4 * kMaxNacksPerMessage;
   std::vector<std::uint64_t> current;
   std::uint64_t seq = nextExpected_;
   for (const auto& [held, f] : buffer_) {
@@ -279,7 +279,7 @@ std::vector<std::uint64_t> ReliableReceiveQueue::collectNacks(double now) {
     ++h.nacks;
     h.nackedAt = now;
     due.push_back(s);
-    if (due.size() >= cfg_->maxNacksPerMessage) break;
+    if (due.size() >= kMaxNacksPerMessage) break;
   }
   if (due.empty()) return {};
   // A repeat means the hole's last NACK went unanswered: back off.

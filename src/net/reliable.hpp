@@ -69,25 +69,26 @@ inline constexpr double kMaxNackWaitSec = 0.05;
 /// slack before a NACK is repeated.
 inline constexpr double kMinRepairVarianceSec = 0.001;
 
+/// Sender-side retransmit timeout: an unacknowledged frame older than this
+/// is re-sent unprompted (covers tail loss, where the receiver never
+/// learns a gap exists).
+inline constexpr double kRetxTimeoutSec = 0.25;
+/// Retransmit buffer cap, frames per publication, and the window's only
+/// memory bound. Overflow evicts the oldest frame — receivers that still
+/// miss it are told to skip, so a too-small window degrades to counted
+/// loss instead of livelock.
+inline constexpr std::size_t kSendWindowFrames = 512;
+/// Receiver reorder buffer cap, frames per channel.
+inline constexpr std::size_t kReorderLimit = 1024;
+/// Missing sequence numbers listed per NACK message.
+inline constexpr std::size_t kMaxNacksPerMessage = 64;
+/// Frames re-sent per retransmit-timeout sweep per publication.
+inline constexpr std::size_t kMaxRetransmitPerSweep = 32;
+
 /// Tunables of the reliable layer (CB config embeds one).
 struct ReliableConfig {
-  /// Sender-side retransmit timeout: an unacknowledged frame older than
-  /// this is re-sent unprompted (covers tail loss, where the receiver
-  /// never learns a gap exists).
-  double retxTimeoutSec = 0.25;
   /// Cadence of cumulative WindowAcks from the receiver.
   double ackIntervalSec = 0.1;
-  /// Retransmit buffer cap, frames per publication, and the window's only
-  /// memory bound. Overflow evicts the oldest frame — receivers that
-  /// still miss it are told to skip, so a too-small window degrades to
-  /// counted loss instead of livelock.
-  std::size_t sendWindowFrames = 512;
-  /// Receiver reorder buffer cap, frames per channel.
-  std::size_t reorderLimit = 1024;
-  /// Missing sequence numbers listed per NACK message.
-  std::size_t maxNacksPerMessage = 64;
-  /// Frames re-sent per retransmit-timeout sweep per publication.
-  std::size_t maxRetransmitPerSweep = 32;
 };
 
 /// Counters for tests, benches and the instructor monitor.
@@ -149,8 +150,7 @@ struct ReliableFrame {
 /// one copy per update, not one per channel.
 class ReliableSendWindow {
  public:
-  ReliableSendWindow(const ReliableConfig& cfg, ReliableStats& stats)
-      : cfg_(&cfg), stats_(&stats) {}
+  explicit ReliableSendWindow(ReliableStats& stats) : stats_(&stats) {}
 
   /// Buffer one encoded frame (copies; the live frame buffer is reused by
   /// the caller). Evicts the oldest frames beyond the frame cap.
@@ -184,14 +184,14 @@ class ReliableSendWindow {
   void pruneThrough(std::uint64_t throughSeq);
 
   /// Frames unacked beyond the retransmit timeout, oldest first, capped
-  /// at maxRetransmitPerSweep. `minUnacked` is the smallest sequence any
+  /// at kMaxRetransmitPerSweep. `minUnacked` is the smallest sequence any
   /// live channel still waits for. Marks the returned frames sent.
   std::vector<std::uint64_t> takeTailRetransmits(std::uint64_t minUnacked,
                                                  double now);
 
   /// Earliest (re)send time of a stored frame with seq >= `minUnacked`
   /// (+inf if there is none): takeTailRetransmits(minUnacked, now)
-  /// returns nothing while now - this < retxTimeoutSec. Only a store or a
+  /// returns nothing while now - this < kRetxTimeoutSec. Only a store or a
   /// lower `minUnacked` can bring it forward.
   double earliestUnackedSentSec(std::uint64_t minUnacked) const;
 
@@ -208,7 +208,6 @@ class ReliableSendWindow {
     double lastSentSec = 0.0;
   };
 
-  const ReliableConfig* cfg_;
   ReliableStats* stats_;
   telemetry::LogHistogram* retxDelayHist_ = nullptr;
   std::map<std::uint64_t, Entry> frames_;
@@ -274,7 +273,7 @@ class ReliableReceiveQueue {
   /// Missing sequence numbers to NACK now: holes that outlived the
   /// reorder window, plus NACKed holes whose repair timeout has passed
   /// (empty if none is due). Each hole is aged from when this poll first
-  /// saw it. Caps at maxNacksPerMessage.
+  /// saw it. Caps at kMaxNacksPerMessage.
   std::vector<std::uint64_t> collectNacks(double now);
 
   /// Cumulative sequence to acknowledge now, if an ack is due (progress

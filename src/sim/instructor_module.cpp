@@ -82,7 +82,7 @@ InstructorModule::InstructorModule() : core::LogicalProcess("instructor") {}
 
 std::string InstructorModule::renderClusterText() const {
   if (clusterMonitor_ == nullptr)
-    return "+------ CLUSTER HEALTH (telemetry off) ------+\n";
+    return "+------ CLUSTER HEALTH (no monitor) ------+\n";
   return clusterMonitor_->renderTable() + clusterMonitor_->renderAlarms();
 }
 

@@ -65,7 +65,7 @@ class InstructorModule : public core::LogicalProcess {
     return clusterMonitor_;
   }
   /// The Cluster Health window: live per-node health table plus the alarm
-  /// feed. Empty-frame text when no monitor is attached (telemetry off).
+  /// feed. Empty-frame text when no monitor is attached.
   std::string renderClusterText() const;
 
   /// "Click" an indicator on the dashboard window: inject a fault into the

@@ -5,7 +5,6 @@ namespace cod::sim {
 CraneSimulatorApp::CraneSimulatorApp() : CraneSimulatorApp(Config{}) {}
 
 void CraneSimulatorApp::addTelemetry(core::CommunicationBackbone& cb) {
-  if (!cfg_.telemetry.enabled) return;
   telemetry_.push_back(
       std::make_unique<telemetry::TelemetryPublisher>(cfg_.telemetry));
   telemetry_.back()->bind(cb);
@@ -52,9 +51,9 @@ CraneSimulatorApp::CraneSimulatorApp(Config cfg)
     platform_->bind(cb);
     addTelemetry(cb);
   }
-  // Computer 7: dynamics + scenario (two LPs on one box, §2.1). With
-  // telemetry on, a third LP — a HealthMonitor — feeds cluster alarms and
-  // the run's peak loss into the exam debrief.
+  // Computer 7: dynamics + scenario (two LPs on one box, §2.1). A third
+  // LP — a HealthMonitor — feeds cluster alarms and the run's peak loss
+  // into the exam debrief.
   {
     auto& cb = cluster_.addComputer("dynamics");
     DynamicsModule::Config dc;
@@ -66,16 +65,14 @@ CraneSimulatorApp::CraneSimulatorApp(Config cfg)
     scenario_ = std::make_unique<ScenarioModule>(cfg_.course);
     scenario_->bind(cb);
     addTelemetry(cb);
-    if (cfg_.telemetry.enabled) {
-      scenarioMonitor_ =
-          std::make_unique<telemetry::HealthMonitor>(cfg_.telemetryMonitor);
-      scenarioMonitor_->bind(cb);
-      scenario_->attachClusterMonitor(scenarioMonitor_.get());
-    }
+    scenarioMonitor_ =
+        std::make_unique<telemetry::HealthMonitor>(cfg_.telemetryMonitor);
+    scenarioMonitor_->bind(cb);
+    scenario_->attachClusterMonitor(scenarioMonitor_.get());
   }
-  // Computer 8: instructor monitor + audio (two LPs on one box). With
-  // telemetry on, the station's HealthMonitor aggregates every node's
-  // export into the Cluster Health window.
+  // Computer 8: instructor monitor + audio (two LPs on one box). The
+  // station's HealthMonitor aggregates every node's export into the
+  // Cluster Health window.
   {
     auto& cb = cluster_.addComputer("instructor");
     instructor_ = std::make_unique<InstructorModule>();
@@ -83,12 +80,10 @@ CraneSimulatorApp::CraneSimulatorApp(Config cfg)
     audio_ = std::make_unique<AudioModule>();
     audio_->bind(cb);
     addTelemetry(cb);
-    if (cfg_.telemetry.enabled) {
-      instructorMonitor_ =
-          std::make_unique<telemetry::HealthMonitor>(cfg_.telemetryMonitor);
-      instructorMonitor_->bind(cb);
-      instructor_->attachClusterMonitor(instructorMonitor_.get());
-    }
+    instructorMonitor_ =
+        std::make_unique<telemetry::HealthMonitor>(cfg_.telemetryMonitor);
+    instructorMonitor_->bind(cb);
+    instructor_->attachClusterMonitor(instructorMonitor_.get());
   }
 }
 

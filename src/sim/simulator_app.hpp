@@ -44,9 +44,7 @@ class CraneSimulatorApp {
     /// Cluster-health export: every computer runs a TelemetryPublisher,
     /// the instructor station aggregates with a HealthMonitor (Cluster
     /// Health window), and the scenario computer runs a second monitor
-    /// that annotates the exam debrief. telemetry.enabled = false builds
-    /// none of it — wire traffic is byte-identical to a telemetry-free
-    /// simulator.
+    /// that annotates the exam debrief.
     telemetry::TelemetryConfig telemetry;
     telemetry::MonitorConfig telemetryMonitor;
   };
@@ -67,7 +65,7 @@ class CraneSimulatorApp {
   /// Teardown telemetry: every computer flushes one final KEYFRAME so any
   /// monitor's last view of the rack is the closing counters, decodable
   /// without a delta base. Call before discarding the app (exam debrief,
-  /// rack shutdown); no-op when telemetry is disabled.
+  /// rack shutdown).
   void publishFinalTelemetry();
 
   double now() const { return cluster_.now(); }
@@ -83,15 +81,14 @@ class CraneSimulatorApp {
   SyncServerModule& syncServer() { return *sync_; }
   int displayCount() const { return static_cast<int>(displays_.size()); }
 
-  /// The instructor station's cluster-health aggregator; null when
-  /// telemetry is disabled.
+  /// The instructor station's cluster-health aggregator.
   telemetry::HealthMonitor* clusterMonitor() { return instructorMonitor_.get(); }
   std::size_t telemetryPublisherCount() const { return telemetry_.size(); }
 
   const Config& config() const { return cfg_; }
 
  private:
-  /// Start a telemetry publisher on `cb` (no-op when telemetry is off).
+  /// Start a telemetry publisher on `cb`.
   void addTelemetry(core::CommunicationBackbone& cb);
 
   Config cfg_;

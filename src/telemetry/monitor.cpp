@@ -21,11 +21,6 @@ std::uint64_t delta(std::uint64_t cur, std::uint64_t prev) {
 }  // namespace
 
 double reliableLossEstimatePct(std::uint64_t dataFramesSent,
-                               std::uint64_t retransmitsSent) {
-  return reliableLossEstimatePct(dataFramesSent, retransmitsSent, 0);
-}
-
-double reliableLossEstimatePct(std::uint64_t dataFramesSent,
                                std::uint64_t retransmitsSent,
                                std::uint64_t duplicatesReported) {
   const std::uint64_t attempts = dataFramesSent + retransmitsSent;
@@ -299,35 +294,35 @@ void HealthMonitor::deriveRates(NodeState& st, const NodeTelemetry& prev,
   // figure: frame accounting where the transport attributes drops, the
   // reliable-layer estimate on real sockets.
   char buf[96];
-  if (h.effectiveLossPct() >= cfg_.lossSpikePct) {
+  if (h.effectiveLossPct() >= kLossSpikePct) {
     if (!st.lossAlarm) {
       st.lossAlarm = true;
       std::snprintf(buf, sizeof(buf), "inbound loss %.1f%% (threshold %.1f%%)",
-                    h.effectiveLossPct(), cfg_.lossSpikePct);
+                    h.effectiveLossPct(), kLossSpikePct);
       raise(HealthAlarm::Kind::kLossSpike, cur.node, buf);
     }
   } else if (st.lossAlarm) {
     st.lossAlarm = false;
     std::snprintf(buf, sizeof(buf), "inbound loss back to %.1f%% (threshold %.1f%%)",
-                  h.effectiveLossPct(), cfg_.lossSpikePct);
+                  h.effectiveLossPct(), kLossSpikePct);
     raise(HealthAlarm::Kind::kLossCleared, cur.node, buf);
   }
-  if (h.retransmitsPerSec >= cfg_.retransmitStormPerSec) {
+  if (h.retransmitsPerSec >= kRetransmitStormPerSec) {
     if (!st.retxAlarm) {
       st.retxAlarm = true;
       std::snprintf(buf, sizeof(buf), "%.1f retransmits/s (threshold %.1f)",
-                    h.retransmitsPerSec, cfg_.retransmitStormPerSec);
+                    h.retransmitsPerSec, kRetransmitStormPerSec);
       raise(HealthAlarm::Kind::kRetransmitStorm, cur.node, buf);
     }
   } else if (st.retxAlarm) {
     st.retxAlarm = false;
     std::snprintf(buf, sizeof(buf), "back to %.1f retransmits/s (threshold %.1f)",
-                  h.retransmitsPerSec, cfg_.retransmitStormPerSec);
+                  h.retransmitsPerSec, kRetransmitStormPerSec);
     raise(HealthAlarm::Kind::kRetransmitCleared, cur.node, buf);
   }
   const std::uint64_t dOverflow =
       delta(cur.cb.mailboxOverflows, prev.cb.mailboxOverflows);
-  if (cfg_.alarmOnMailboxOverflow && dOverflow > 0) {
+  if (dOverflow > 0) {
     if (!st.overflowAlarm) {
       st.overflowAlarm = true;
       std::snprintf(buf, sizeof(buf),
@@ -341,24 +336,24 @@ void HealthMonitor::deriveRates(NodeState& st, const NodeTelemetry& prev,
           "mailboxes draining again");
   }
   // Latency spike, edge-triggered like the others. Intervals with fewer
-  // than latencyMinSamples are not judged either way — sparse sampling
+  // than kLatencyMinSamples are not judged either way — sparse sampling
   // must neither raise on one outlier nor clear on an empty interval.
-  if (h.latencySamples >= cfg_.latencyMinSamples) {
-    if (h.latencyP99Ms >= cfg_.latencySpikeP99Ms) {
+  if (h.latencySamples >= kLatencyMinSamples) {
+    if (h.latencyP99Ms >= kLatencySpikeP99Ms) {
       if (!st.latencyAlarm) {
         st.latencyAlarm = true;
         std::snprintf(buf, sizeof(buf),
                       "delivery p99 %.1fms over %llu samples (threshold %.1fms)",
                       h.latencyP99Ms,
                       static_cast<unsigned long long>(h.latencySamples),
-                      cfg_.latencySpikeP99Ms);
+                      kLatencySpikeP99Ms);
         raise(HealthAlarm::Kind::kLatencySpike, cur.node, buf);
       }
     } else if (st.latencyAlarm) {
       st.latencyAlarm = false;
       std::snprintf(buf, sizeof(buf),
                     "delivery p99 back to %.1fms (threshold %.1fms)",
-                    h.latencyP99Ms, cfg_.latencySpikeP99Ms);
+                    h.latencyP99Ms, kLatencySpikeP99Ms);
       raise(HealthAlarm::Kind::kLatencyCleared, cur.node, buf);
     }
   }
@@ -385,7 +380,7 @@ void HealthMonitor::deriveChannelAlarms(NodeState& st,
     seen[c.channelId] = true;
     ChannelAlarmState& cs = st.channelAlarms[c.channelId];
 
-    const bool pinnedNow = c.live && c.windowFrames >= cfg_.windowPinnedFrames;
+    const bool pinnedNow = c.live && c.windowFrames >= kWindowPinnedFrames;
     if (pinnedNow && cs.pinnedPrev) {
       if (!cs.windowAlarm) {
         cs.windowAlarm = true;
@@ -408,13 +403,13 @@ void HealthMonitor::deriveChannelAlarms(NodeState& st,
     const auto pit = prevRetx.find(c.channelId);
     const double retxPerSec =
         pit == prevRetx.end() ? 0.0 : rate(c.retransmits, pit->second, dt);
-    if (retxPerSec >= cfg_.channelRetransmitStormPerSec) {
+    if (retxPerSec >= kChannelRetransmitStormPerSec) {
       if (!cs.retxAlarm) {
         cs.retxAlarm = true;
         std::snprintf(buf, sizeof(buf),
                       "channel %u (%s): %.1f retransmits/s (threshold %.1f)",
                       c.channelId, c.className.c_str(), retxPerSec,
-                      cfg_.channelRetransmitStormPerSec);
+                      kChannelRetransmitStormPerSec);
         raise(HealthAlarm::Kind::kChannelRetransmitStorm, cur.node, buf);
       }
     } else if (cs.retxAlarm) {
@@ -510,12 +505,12 @@ void HealthMonitor::raise(HealthAlarm::Kind kind, const std::string& nodeName,
     // holds them. Each incident gets its own numbered file (first at the
     // configured path, then .2, .3, ... before the extension) so a later
     // CRIT cannot destroy the evidence of an earlier one — but no more
-    // often than flightDumpMinIntervalSec: each dump is megabytes of
+    // often than kFlightDumpMinIntervalSec: each dump is megabytes of
     // synchronous I/O on the monitor's tick path, and a flapping CRIT
     // edge must not turn the monitor itself into the cluster's slowest
     // node.
     if (flightDumps_ == 0 ||
-        now_ - lastFlightDumpSec_ >= cfg_.flightDumpMinIntervalSec) {
+        now_ - lastFlightDumpSec_ >= kFlightDumpMinIntervalSec) {
       const std::string path =
           flightDumpPath(recorderDumpPath_, flightDumps_);
       if (recorder_->dumpToFile(path)) {

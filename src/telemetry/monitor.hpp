@@ -16,7 +16,7 @@
 //   kRetransmitStorm    reliable retransmit rate over threshold
 //   kMailboxOverflow    a node dropped reflections on a full mailbox
 //   kChannelWindowPinned     one channel's retransmit window sat at the
-//                            configured cap across two snapshots
+//                            reliable layer's cap across two snapshots
 //   kChannelRetransmitStorm  one channel's retransmit rate over threshold
 //
 // Alarms are edge-triggered (one per onset, not one per interval), carry
@@ -40,43 +40,42 @@
 
 namespace cod::telemetry {
 
-/// Alarm thresholds and the publish cadence staleness is judged against.
+/// Inbound frame loss between two snapshots that counts as a spike, %.
+inline constexpr double kLossSpikePct = 10.0;
+/// Reliable retransmit rate that counts as a storm, frames/second.
+inline constexpr double kRetransmitStormPerSec = 50.0;
+/// A reliable channel whose send window holds at least this many frames
+/// across two consecutive snapshots is "pinned": its subscriber is not
+/// acking and the publisher is about to stall. It is the reliable layer's
+/// window cap.
+inline constexpr std::uint64_t kWindowPinnedFrames = net::kSendWindowFrames;
+/// Per-channel retransmit rate that counts as a channel storm,
+/// frames/second. Lower than the node-wide storm threshold: one channel
+/// carrying all of a node's retransmits is a routing/path problem even
+/// when the node total looks tolerable.
+inline constexpr double kChannelRetransmitStormPerSec = 20.0;
+/// Interval delivery-latency p99 (milliseconds) that counts as a latency
+/// spike. The figure comes from diffing the node's cumulative
+/// delivery-latency histogram between snapshots.
+inline constexpr double kLatencySpikeP99Ms = 250.0;
+/// Minimum latency samples in the interval before the p99 is judged at
+/// all — 1-in-N sampling makes a single outlier meaningless.
+inline constexpr std::uint64_t kLatencyMinSamples = 10;
+/// Automatic CRIT-triggered flight-recorder dumps are spaced at least this
+/// far apart. A flapping CRIT (a slow node oscillating around the silence
+/// threshold) would otherwise dump the ring — megabytes of synchronous
+/// file I/O — on every edge, stalling the monitor's own tick loop hard
+/// enough to storm its reliable channels.
+inline constexpr double kFlightDumpMinIntervalSec = 5.0;
+
+/// The publish cadence staleness is judged against. Every other alarm
+/// threshold is one of the constants above.
 struct MonitorConfig {
   /// The publishers' TelemetryConfig::intervalSec, as expected here.
   double expectedIntervalSec = 1.0;
   /// A node is silent after this many expected intervals without a
   /// snapshot.
   double silentAfterIntervals = 3.0;
-  /// Inbound frame loss between two snapshots that counts as a spike, %.
-  double lossSpikePct = 10.0;
-  /// Reliable retransmit rate that counts as a storm, frames/second.
-  double retransmitStormPerSec = 50.0;
-  /// Raise on any mailbox overflow growth (off: overflows only show in
-  /// the table).
-  bool alarmOnMailboxOverflow = true;
-  /// A reliable channel whose send window holds at least this many frames
-  /// across two consecutive snapshots is "pinned": its subscriber is not
-  /// acking and the publisher is about to stall. Matches the reliable
-  /// layer's default window cap.
-  std::uint32_t windowPinnedFrames = 512;
-  /// Per-channel retransmit rate that counts as a channel storm,
-  /// frames/second. Lower than the node-wide storm threshold: one channel
-  /// carrying all of a node's retransmits is a routing/path problem even
-  /// when the node total looks tolerable.
-  double channelRetransmitStormPerSec = 20.0;
-  /// Interval delivery-latency p99 (milliseconds) that counts as a
-  /// latency spike. The figure comes from diffing the node's cumulative
-  /// delivery-latency histogram between snapshots.
-  double latencySpikeP99Ms = 250.0;
-  /// Minimum latency samples in the interval before the p99 is judged at
-  /// all — 1-in-N sampling makes a single outlier meaningless.
-  std::uint64_t latencyMinSamples = 10;
-  /// Automatic CRIT-triggered flight-recorder dumps are spaced at least
-  /// this far apart. A flapping CRIT (a slow node oscillating around the
-  /// silence threshold) would otherwise dump the ring — megabytes of
-  /// synchronous file I/O — on every edge, stalling the monitor's own
-  /// tick loop hard enough to storm its reliable channels.
-  double flightDumpMinIntervalSec = 5.0;
 };
 
 struct HealthAlarm {
@@ -121,22 +120,20 @@ HealthAlarm::Severity alarmSeverity(HealthAlarm::Kind k);
 const char* severityName(HealthAlarm::Severity s);
 
 /// Loss estimate from reliable-layer counters alone: the fraction of data
-/// transmissions that had to be re-sent. Every lost reliable attempt is
-/// eventually retransmitted (NACK-driven for gaps, tail timeout for burst
-/// ends), so retx / (data + retx) converges on the path's datagram loss
-/// rate. This is the only loss observable a real-socket deployment has —
-/// a kernel UDP socket cannot attribute drops, so transport.framesDropped
-/// stays 0 there and the frame-accounting estimate reads a meaningless
-/// 0%. Both arguments are counters (cumulative or interval deltas).
-double reliableLossEstimatePct(std::uint64_t dataFramesSent,
-                               std::uint64_t retransmitsSent);
-
-/// Duplicate-corrected loss estimate. Subscribers report (WINDOW_ACK dup
-/// blocks → reliable.peerDuplicatesReported) how many frames arrived
-/// twice: each of those retransmits was a tail-RTO or NACK race that the
-/// original actually survived, not a loss. Subtracting them removes the
-/// bias that overstates loss on low-rate streams, where a frame's ack
-/// routinely loses the race against the retransmit timeout:
+/// transmissions that had to be re-sent, less those the subscribers
+/// reported as duplicates. Every lost reliable attempt is eventually
+/// retransmitted (NACK-driven for gaps, tail timeout for burst ends), so
+/// retx / (data + retx) converges on the path's datagram loss rate. This
+/// is the only loss observable a real-socket deployment has — a kernel
+/// UDP socket cannot attribute drops, so transport.framesDropped stays 0
+/// there and the frame-accounting estimate reads a meaningless 0%.
+///
+/// Subscribers report (WINDOW_ACK dup blocks →
+/// reliable.peerDuplicatesReported) how many frames arrived twice: each
+/// of those retransmits was a tail-RTO or NACK race that the original
+/// actually survived, not a loss. Subtracting them removes the bias that
+/// overstates loss on low-rate streams, where a frame's ack routinely
+/// loses the race against the retransmit timeout:
 ///   losses  = retransmitsSent − duplicatesReported   (floored at 0)
 ///   percent = 100 × losses / (dataFramesSent + retransmitsSent)
 /// All arguments are counters (cumulative or interval deltas, but all

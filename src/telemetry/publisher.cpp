@@ -6,7 +6,6 @@ TelemetryPublisher::TelemetryPublisher(TelemetryConfig cfg)
     : core::LogicalProcess("telemetry"), cfg_(cfg) {}
 
 void TelemetryPublisher::bind(core::CommunicationBackbone& cb) {
-  if (!cfg_.enabled) return;
   cb_ = &cb;
   cb.attach(*this);
   registry_.emplace(cb);

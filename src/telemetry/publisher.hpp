@@ -27,10 +27,6 @@ namespace cod::telemetry {
 /// Knobs of one node's telemetry export. Embedded by application configs
 /// (e.g. CraneSimulatorApp::Config::telemetry).
 struct TelemetryConfig {
-  /// Master off-switch. Disabled, bind() is a no-op: no publication, no
-  /// discovery replies, no snapshots — wire traffic is byte-identical to
-  /// a build without telemetry (asserted in tests/test_telemetry.cpp).
-  bool enabled = true;
   /// Snapshot cadence. ~1 Hz is plenty for a human-watched health table
   /// and keeps the overhead unmeasurable next to 16 fps state traffic.
   double intervalSec = 1.0;
@@ -43,8 +39,7 @@ class TelemetryPublisher : public core::LogicalProcess {
  public:
   explicit TelemetryPublisher(TelemetryConfig cfg = {});
 
-  /// Attach to the node's CB and publish the reserved class. No-op when
-  /// disabled (see TelemetryConfig::enabled).
+  /// Attach to the node's CB and publish the reserved class.
   void bind(core::CommunicationBackbone& cb);
 
   void step(double now) override;

@@ -149,29 +149,6 @@ TEST(CbReliable, BurstPerTickBatchesHealUnderLoss) {
             cbA.stats().batch.datagramsCoalesced);
 }
 
-TEST(CbReliable, BatchingDisabledStillHealsAt25PercentLoss) {
-  // The un-batched wire path stays supported (interop with pre-batching
-  // peers) and must keep its reliability guarantees.
-  CodCluster::Config cfg;
-  cfg.link.lossRate = 0.25;
-  cfg.link.jitterSec = 500e-6;
-  cfg.cb.batch.enabled = false;
-  CodCluster cluster(cfg);
-  auto& cbA = cluster.addComputer("a");
-  auto& cbB = cluster.addComputer("b");
-  QosPub pub("score", net::QosClass::kReliableOrdered);
-  pub.bind(cbA);
-  QosSub sub("score", net::QosClass::kReliableOrdered);
-  sub.bind(cbB);
-  ASSERT_TRUE(cluster.runUntil([&] { return cbB.connected(sub.handle); }, 10.0));
-
-  constexpr int kCount = 200;
-  streamAndDrain(cluster, pub, sub, kCount, 0.01, kCount, 20.0);
-  expectZeroGapInOrder(sub, kCount);
-  EXPECT_EQ(cbA.stats().batch.datagramsCoalesced, 0u);  // nothing boxed
-  EXPECT_EQ(cbB.stats().reliable.gapsAbandoned, 0u);
-}
-
 TEST(CbReliable, BestEffortChannelOnSameLinkStillDrops) {
   // Contrast case: same lossy LAN, best-effort channel — gaps are expected
   // (newest-wins) while sequence order is still monotonic.
@@ -339,9 +316,7 @@ TEST(CbReliable, TinySendWindowDegradesToCountedLossNotLivelock) {
   // Publish far more than the retransmit window holds into a blackout:
   // the overflowed frames are unrecoverable, and the publisher must order
   // the subscriber past the hole instead of NACK-looping forever.
-  CodCluster::Config cfg;
-  cfg.cb.reliable.sendWindowFrames = 8;
-  CodCluster cluster(cfg);
+  CodCluster cluster;
   auto& cbA = cluster.addComputer("a");
   auto& cbB = cluster.addComputer("b");
   QosPub pub("score", net::QosClass::kBestEffort);
@@ -350,22 +325,26 @@ TEST(CbReliable, TinySendWindowDegradesToCountedLossNotLivelock) {
   sub.bind(cbB);
   ASSERT_TRUE(cluster.runUntil([&] { return cbB.connected(sub.handle); }, 5.0));
 
+  // 10 updates per 10 ms tick overflow the window in well under the
+  // channel timeout.
+  constexpr int kPerTick = 10;
+  constexpr int kBlackout = static_cast<int>(net::kSendWindowFrames) + 40;
   net::LinkModel dead;
   dead.lossRate = 1.0;
   cluster.network().setLink(0, 1, dead);
-  for (int i = 0; i < 40; ++i) {
+  for (int i = 0; i < kBlackout; ++i) {
     pub.send(i, cluster.now());
-    cluster.step(0.01);
+    if (i % kPerTick == kPerTick - 1) cluster.step(0.01);
   }
   cluster.network().setLink(0, 1, net::LinkModel{});
   // Stream resumes: later values arrive despite the unrecoverable hole.
-  for (int i = 40; i < 60; ++i) {
+  for (int i = kBlackout; i < kBlackout + 20; ++i) {
     pub.send(i, cluster.now());
     cluster.step(0.01);
   }
   ASSERT_TRUE(cluster.runUntil(
       [&] {
-        return !sub.values.empty() && sub.values.back() == 59.0;
+        return !sub.values.empty() && sub.values.back() == kBlackout + 19;
       },
       cluster.now() + 10.0));
   EXPECT_GT(cbA.stats().reliable.sendWindowEvictions, 0u);

@@ -94,9 +94,9 @@ TEST(CbOverUdp, ChannelTimeoutAndRediscoveryOnLoopback) {
   const net::UdpConfig cfg = testConfig();
   CommunicationBackbone::Config cbCfg;
   cbCfg.broadcastIntervalSec = 0.01;
-  cbCfg.heartbeatIntervalSec = 0.05;
-  cbCfg.channelTimeoutSec = 0.3;
-  cbCfg.connectRetrySec = 0.05;
+  // Three keep-alive intervals (kHeartbeatIntervalSec is 0.5 s), as the
+  // soak lanes run.
+  cbCfg.channelTimeoutSec = 1.5;
   CommunicationBackbone cbPub(
       "udp-pub", std::make_unique<net::UdpTransport>(cfg, 0, 1), cbCfg);
   CommunicationBackbone cbSub(

@@ -209,7 +209,7 @@ TEST_F(WireFixture, SecondUpdateReusedBufferStillExactBytes) {
 
 TEST_F(WireFixture, HeartbeatFanOutBytesIdenticalToPerChannelEncode) {
   publishWithTwoChannels();
-  cb->tick(0.75);  // past heartbeatIntervalSec (0.5) with idle channels
+  cb->tick(0.75);  // past kHeartbeatIntervalSec (0.5) with idle channels
   ASSERT_EQ(transport->sent.size(), 2u);
   EXPECT_EQ(transport->sent[0].second,
             encode(HeartbeatMsg{5, 0.75, /*fromPublisher=*/true}));
@@ -433,6 +433,131 @@ TEST_F(WireFixture, CorruptContainersDroppedAtomically) {
   SUCCEED();
 }
 
+/// Seeded mutation fuzz of the kBatch decoder, in the xorshift idiom of
+/// test_core_protocol.cpp: containers built by encode(BatchMsg) get their
+/// bytes, counts or lengths mutated, are truncated or grow a tail.
+/// decode() must accept exactly the containers validateBatchBody accepts,
+/// and a CB fed each one must reject it atomically (malformedDrops + 1,
+/// nothing dispatched) or route every sub-frame (framesUnpacked +
+/// malformedDrops grow by the frame count).
+TEST(BatchFuzz, MutatedContainersDecodeAndDispatchAtomically) {
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  UpdateMsg u;
+  u.channelId = 3;
+  u.seq = 9;
+  u.timestamp = 0.5;
+  u.payload = sampleAttrs().encode();
+  BatchMsg inner;
+  inner.frames = {encode(ByeMsg{4, false}), encode(ByeMsg{5, false})};
+  // Well-formed messages, an undecodable one, and two sub-frames the
+  // framing rules forbid (empty, nested container).
+  const std::vector<std::vector<std::uint8_t>> pool = {
+      encode(u),
+      encode(HeartbeatMsg{3, 0.5, true}),
+      encode(ByeMsg{4, false}),
+      encode(NackMsg{4, {7, 8}}),
+      encode(WindowAckMsg{4, 6, false}),
+      encode(SubscriptionMsg{1, "fuzz.cls"}),
+      encode(ChannelAckMsg{5, 6}),
+      {0xEE, 1, 2},
+      {},
+      encode(inner)};
+
+  // A CB with no tables: every sub-frame that routes is a no-op or an
+  // unknown-channel drop, so nothing ever leaves.
+  auto t = std::make_unique<ScriptedTransport>();
+  ScriptedTransport* transport = t.get();
+  CommunicationBackbone cb("fuzz", std::move(t));
+  std::size_t accepted = 0, rejected = 0;
+  double now = 0.0;
+  for (int iter = 0; iter < 10000; ++iter) {
+    BatchMsg m;
+    const std::size_t n = 1 + next() % 6;
+    std::vector<std::size_t> lenAt;  // offset of each u32 length prefix
+    std::size_t off = kBatchHeaderBytes;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Mostly well-formed frames; the forbidden ones now and then.
+      const std::size_t pick = next() % 64;
+      m.frames.push_back(pool[pick < 60 ? pick % 8 : 8 + pick % 2]);
+      lenAt.push_back(off);
+      off += kBatchFramePrefixBytes + m.frames.back().size();
+    }
+    auto bytes = encode(m);
+    ASSERT_EQ(bytes.size(), off);
+    switch (next() % 6) {
+      case 0:  // untouched
+        break;
+      case 1:  // flip bytes anywhere past the type byte
+        for (std::uint64_t k = 1 + next() % 3; k > 0; --k)
+          bytes[1 + next() % (bytes.size() - 1)] ^=
+              static_cast<std::uint8_t>(1 + next() % 255);
+        break;
+      case 2: {  // a count off by a little, or anything
+        const std::uint16_t c =
+            next() % 2 == 0 ? static_cast<std::uint16_t>(n + next() % 3 - 1)
+                            : static_cast<std::uint16_t>(next());
+        bytes[1] = static_cast<std::uint8_t>(c & 0xFF);
+        bytes[2] = static_cast<std::uint8_t>(c >> 8);
+        break;
+      }
+      case 3: {  // one length off by a little, or anything
+        const std::size_t i = next() % n;
+        const std::size_t near = m.frames[i].size() + next() % 7 - 3;
+        const std::uint32_t len = static_cast<std::uint32_t>(
+            next() % 2 == 0 ? near : static_cast<std::size_t>(next()));
+        for (std::size_t b = 0; b < kBatchFramePrefixBytes; ++b)
+          bytes[lenAt[i] + b] = static_cast<std::uint8_t>(len >> (8 * b));
+        break;
+      }
+      case 4:  // truncated, keeping the type byte
+        bytes.resize(1 + next() % (bytes.size() - 1));
+        break;
+      case 5:  // a tail the count does not cover
+        for (std::uint64_t k = 1 + next() % 4; k > 0; --k)
+          bytes.push_back(static_cast<std::uint8_t>(next()));
+        break;
+    }
+
+    const auto count =
+        validateBatchBody(std::span<const std::uint8_t>(bytes).subspan(1));
+    const auto msg = decode(bytes);
+    ASSERT_EQ(msg.has_value(), count.has_value()) << "iter " << iter;
+    if (msg) {
+      ASSERT_EQ(msg->type, MsgType::kBatch) << "iter " << iter;
+      ASSERT_EQ(msg->batch.frames.size(), *count) << "iter " << iter;
+    }
+
+    const CbStats before = cb.stats();
+    transport->inject({10, 1}, bytes);
+    cb.tick(now += 0.001);
+    const CbStats& after = cb.stats();
+    if (!count) {
+      ++rejected;
+      ASSERT_EQ(after.malformedDrops, before.malformedDrops + 1)
+          << "iter " << iter;
+      ASSERT_EQ(after.batch.datagramsUnpacked, before.batch.datagramsUnpacked);
+      ASSERT_EQ(after.batch.framesUnpacked, before.batch.framesUnpacked);
+      ASSERT_EQ(after.unknownChannelDrops, before.unknownChannelDrops);
+    } else {
+      ++accepted;
+      ASSERT_EQ(after.batch.datagramsUnpacked,
+                before.batch.datagramsUnpacked + 1);
+      ASSERT_EQ(after.batch.framesUnpacked + after.malformedDrops,
+                before.batch.framesUnpacked + before.malformedDrops + *count)
+          << "iter " << iter;
+    }
+  }
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 2000u);
+  EXPECT_TRUE(transport->sent.empty());
+}
+
 /// Two publications of the same class on one CB acknowledge a discovery
 /// broadcast in publication-id (creation) order, whatever the hash-table
 /// layout — channel-id assignment downstream depends on this order.
@@ -475,79 +600,85 @@ TEST_F(WireFixture, OversizeFrameBypassesContainer) {
     const auto msg = decode(bytes);
     ASSERT_TRUE(msg.has_value());
     ASSERT_EQ(msg->type, MsgType::kUpdate);  // never boxed
-    if (bytes.size() > 1200) ++oversize;
+    if (bytes.size() > kBatchByteBudget) ++oversize;
   }
   EXPECT_EQ(oversize, 2);
 }
 
-/// With batching disabled the wire is exactly the pre-batching protocol:
-/// one bare datagram per frame, no containers anywhere.
-TEST(WireNoBatching, DisabledConfigKeepsBareFrames) {
-  auto t = std::make_unique<ScriptedTransport>();
-  ScriptedTransport* transport = t.get();
-  CommunicationBackbone::Config cfg;
-  cfg.batch.enabled = false;
-  CommunicationBackbone cb("plain", std::move(t), cfg);
-  LogicalProcess lp{"lp"};
-  cb.attach(lp);
-  const PublicationHandle h = cb.publishObjectClass(lp, "wire.cls");
-  transport->inject({10, 1}, encode(ChannelConnectionMsg{77, h, 5, "wire.cls"}));
-  cb.tick(0.0);
+/// A frame staged by copy takes the same bypass: a NACK for a reliable
+/// frame larger than the byte budget re-sends it bare, byte-identical to
+/// its first trip.
+TEST_F(WireFixture, OversizeRetransmitBypassesContainer) {
+  cb->attach(lp);
+  const PublicationHandle h = cb->publishObjectClass(lp, "wire.cls");
+  transport->inject(sub1,
+                    encode(ChannelConnectionMsg{77, h, 5, "wire.cls",
+                                                net::QosClass::kReliableOrdered}));
+  cb->tick(0.0);
   transport->sent.clear();
-  const AttributeSet attrs = sampleAttrs();
-  for (int i = 0; i < 3; ++i)
-    cb.updateAttributeValues(h, attrs, 1.0 + i);
-  cb.tick(0.01);
-  ASSERT_EQ(transport->sent.size(), 3u);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    UpdateMsg ref;
-    ref.channelId = 5;
-    ref.seq = i + 1;
-    ref.timestamp = 1.0 + static_cast<double>(i);
-    ref.payload = attrs.encode();
-    EXPECT_EQ(transport->sent[i].second, encode(ref));
-  }
-  EXPECT_EQ(cb.stats().batch.datagramsCoalesced, 0u);
-  EXPECT_EQ(cb.stats().batch.soloFlushes, 0u);
+  AttributeSet big;
+  big.set("blob", std::string(2000, 'x'));
+  cb->updateAttributeValues(h, big, 1.0);
+  ASSERT_EQ(transport->sent.size(), 1u);  // the fan-out's own bypass
+  const auto original = transport->sent[0].second;
+  ASSERT_GT(original.size(), kBatchByteBudget);
+  transport->sent.clear();
+  const CbBatchStats before = cb->stats().batch;
+
+  transport->inject(sub1, encode(NackMsg{5, {1}}));
+  cb->tick(0.01);
+  ASSERT_EQ(transport->sent.size(), 1u);
+  EXPECT_EQ(transport->sent[0].first, sub1);
+  EXPECT_EQ(transport->sent[0].second, original);
+  const auto msg = decode(transport->sent[0].second);
+  ASSERT_TRUE(msg.has_value());
+  ASSERT_EQ(msg->type, MsgType::kUpdate);  // never boxed
+  EXPECT_EQ(msg->update.channelId, 5u);
+  EXPECT_EQ(msg->update.seq, 1u);
+  EXPECT_EQ(cb->stats().batch.oversizeSends, before.oversizeSends + 1);
+  EXPECT_EQ(cb->stats().batch.soloFlushes, before.soloFlushes);
+  EXPECT_EQ(cb->stats().batch.datagramsCoalesced, before.datagramsCoalesced);
+  EXPECT_EQ(cb->stats().reliable.retransmitsSent, 1u);
 }
 
 /// The byte budget splits a long staging run into MTU-sized containers.
 TEST(WireNoBatching, BudgetSplitsContainers) {
   auto t = std::make_unique<ScriptedTransport>();
   ScriptedTransport* transport = t.get();
-  CommunicationBackbone::Config cfg;
-  cfg.batch.byteBudget = 256;
-  CommunicationBackbone cb("budget", std::move(t), cfg);
+  CommunicationBackbone cb("budget", std::move(t));
   LogicalProcess lp{"lp"};
   cb.attach(lp);
   const PublicationHandle h = cb.publishObjectClass(lp, "wire.cls");
   transport->inject({10, 1}, encode(ChannelConnectionMsg{77, h, 5, "wire.cls"}));
   cb.tick(0.0);
   transport->sent.clear();
-  for (int i = 0; i < 20; ++i)
+  constexpr int kUpdates = 50;
+  for (int i = 0; i < kUpdates; ++i)
     cb.updateAttributeValues(h, sampleAttrs(), 0.1 * i);
   cb.flushBatches();
   ASSERT_GT(transport->sent.size(), 1u);   // budget forced several flushes
-  EXPECT_LT(transport->sent.size(), 20u);  // but far fewer than one-per-frame
+  EXPECT_LT(transport->sent.size(), 10u);  // but far fewer than one-per-frame
   EXPECT_GT(cb.stats().batch.budgetFlushes, 0u);
   for (const auto& [dst, bytes] : transport->sent) {
-    EXPECT_LE(bytes.size(), 256u);
+    EXPECT_LE(bytes.size(), kBatchByteBudget);
     ASSERT_TRUE(decode(bytes).has_value());
   }
-  // Sub-frames survive the split in order.
+  // Sub-frames survive the split in order (a split that leaves one frame
+  // sends it bare).
   std::uint64_t expectSeq = 1;
   for (const auto& [dst, bytes] : transport->sent) {
     const auto msg = decode(bytes);
     ASSERT_TRUE(msg.has_value());
-    ASSERT_EQ(msg->type, MsgType::kBatch);
-    for (const auto& frame : msg->batch.frames) {
+    std::vector<std::vector<std::uint8_t>> frames{bytes};
+    if (msg->type == MsgType::kBatch) frames = msg->batch.frames;
+    for (const auto& frame : frames) {
       const auto sub = decode(frame);
       ASSERT_TRUE(sub.has_value());
       ASSERT_EQ(sub->type, MsgType::kUpdate);
       EXPECT_EQ(sub->update.seq, expectSeq++);
     }
   }
-  EXPECT_EQ(expectSeq, 21u);
+  EXPECT_EQ(expectSeq, static_cast<std::uint64_t>(kUpdates) + 1);
 }
 
 /// Same via detach (the destructor path every LP takes).
@@ -737,8 +868,7 @@ struct TimerPathsRun {
 /// streams publish every 7th tick, a period that divides none of the
 /// protocol intervals, so a deadline the timers miss is not masked by
 /// the wake an update causes anyway. Appends to `run`.
-void runTimerPathsTapped(CommunicationBackbone::Config cfg,
-                         std::uint64_t seed, TimerPathsRun& run) {
+void runTimerPathsTapped(std::uint64_t seed, TimerPathsRun& run) {
   net::SimNetwork net(seed);
   net::LinkModel link = net.defaultLink();
   link.lossRate = 0.2;
@@ -748,12 +878,11 @@ void runTimerPathsTapped(CommunicationBackbone::Config cfg,
   const net::HostId hb = net.addHost("bravo");
   const net::HostId hc = net.addHost("charlie");
   CommunicationBackbone cbA(
-      "alpha", std::make_unique<TapTransport>(net.bind(ha, 1), &run.log), cfg);
+      "alpha", std::make_unique<TapTransport>(net.bind(ha, 1), &run.log));
   CommunicationBackbone cbB(
-      "bravo", std::make_unique<TapTransport>(net.bind(hb, 1), &run.log), cfg);
+      "bravo", std::make_unique<TapTransport>(net.bind(hb, 1), &run.log));
   CommunicationBackbone cbC(
-      "charlie", std::make_unique<TapTransport>(net.bind(hc, 1), &run.log),
-      cfg);
+      "charlie", std::make_unique<TapTransport>(net.bind(hc, 1), &run.log));
 
   constexpr auto kReliable = net::QosClass::kReliableOrdered;
   Pub aRel("mass.c0", kReliable), aBest("crane.state");
@@ -806,31 +935,20 @@ void runTimerPathsTapped(CommunicationBackbone::Config cfg,
 /// digest folds in IEEE-754 doubles from heartbeat and update stamps, so
 /// it assumes no FMA contraction — the x86-64 default.)
 TEST(WireDigest, TimerPathsWireDigestIsPinned) {
-  struct Case {
-    bool batching;
-    std::size_t datagrams;
-    std::uint64_t digest;
-  };
-  for (const Case c : {Case{true, 16095, 12117349218154948365ull},
-                       Case{false, 18545, 14359508393808551388ull}}) {
-    CommunicationBackbone::Config cfg;
-    cfg.batch.enabled = c.batching;
-    TimerPathsRun run;
-    for (const std::uint64_t seed : {11u, 12u, 20u})
-      runTimerPathsTapped(cfg, seed, run);
-    const std::string label = "batching=" + std::to_string(c.batching);
-    // Every timer path fired at least once.
-    EXPECT_GT(run.stats.broadcastsSent, 0u) << label;
-    EXPECT_GT(run.stats.reliable.nacksSent, 0u) << label;
-    EXPECT_GT(run.stats.reliable.windowAcksSent, 0u) << label;
-    EXPECT_GT(run.stats.reliable.retransmitsSent, 0u) << label;
-    EXPECT_GT(run.stats.channelsTimedOut, 0u) << label;
-    // Rediscovery rebuilt the timed-out channels: more establishments
-    // than the five subscriptions of each run need once.
-    EXPECT_GT(run.stats.channelsEstablishedIn, 15u) << label;
-    EXPECT_EQ(run.log.size(), c.datagrams) << label;
-    EXPECT_EQ(journalDigest(run.log), c.digest) << label;
-  }
+  TimerPathsRun run;
+  for (const std::uint64_t seed : {11u, 12u, 20u})
+    runTimerPathsTapped(seed, run);
+  // Every timer path fired at least once.
+  EXPECT_GT(run.stats.broadcastsSent, 0u);
+  EXPECT_GT(run.stats.reliable.nacksSent, 0u);
+  EXPECT_GT(run.stats.reliable.windowAcksSent, 0u);
+  EXPECT_GT(run.stats.reliable.retransmitsSent, 0u);
+  EXPECT_GT(run.stats.channelsTimedOut, 0u);
+  // Rediscovery rebuilt the timed-out channels: more establishments than
+  // the five subscriptions of each run need once.
+  EXPECT_GT(run.stats.channelsEstablishedIn, 15u);
+  EXPECT_EQ(run.log.size(), 16095u);
+  EXPECT_EQ(journalDigest(run.log), 12117349218154948365ull);
 }
 
 }  // namespace

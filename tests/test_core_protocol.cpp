@@ -415,37 +415,6 @@ TEST(Protocol, BatchBytesOnWireLayout) {
   EXPECT_TRUE(std::equal(sub.begin(), sub.end(), bytes.begin() + 7));
 }
 
-TEST(Protocol, BatchBuilderMatchesEncodeAndReusesCapacity) {
-  const auto f1 = encode(HeartbeatMsg{1, 2.0, false});
-  const auto f2 = encode(ByeMsg{2, true});
-  BatchBuilder b;
-  EXPECT_TRUE(b.empty());
-  b.append(f1);
-  // One staged frame: the container would be pure overhead, so the solo
-  // view is the frame itself.
-  ASSERT_EQ(b.frameCount(), 1u);
-  EXPECT_TRUE(std::equal(f1.begin(), f1.end(), b.soloFrame().begin(),
-                         b.soloFrame().end()));
-  b.append(f2);
-  BatchMsg m;
-  m.frames = {f1, f2};
-  const auto viaEncode = encode(m);
-  const auto viaBuilder = b.bytes();
-  EXPECT_TRUE(std::equal(viaEncode.begin(), viaEncode.end(),
-                         viaBuilder.begin(), viaBuilder.end()));
-  EXPECT_EQ(b.sizeWith(0), viaBuilder.size() + kBatchFramePrefixBytes);
-  b.clear();
-  EXPECT_TRUE(b.empty());
-  b.append(f2);
-  EXPECT_EQ(b.frameCount(), 1u);  // no stale frames after clear
-  BatchMsg only2;
-  only2.frames = {f2};
-  const auto reused = b.bytes();
-  const auto expect2 = encode(only2);
-  EXPECT_TRUE(std::equal(expect2.begin(), expect2.end(), reused.begin(),
-                         reused.end()));
-}
-
 TEST(Protocol, TruncatedBatchRejected) {
   BatchMsg m;
   m.frames = {encode(HeartbeatMsg{1, 2.0, false}), encode(ByeMsg{2, true})};

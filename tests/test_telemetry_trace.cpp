@@ -255,8 +255,7 @@ class ReliableSinkLp : public core::LogicalProcess {
   std::uint64_t seen_ = 0;
 };
 
-/// Transport decorator journaling every outbound datagram (same shape as
-/// the telemetry off-switch tap).
+/// Transport decorator journaling every outbound datagram.
 class TapTransport final : public net::Transport {
  public:
   TapTransport(std::unique_ptr<net::Transport> inner,

@@ -87,9 +87,9 @@ using soak::wallSec;
 /// untouched.
 const std::vector<std::string> kPassThroughFlags = {
     "dup", "reorder", "delay-ms", "jitter-ms", "seed", "probe-hz", "quiesce",
-    "telemetry-interval", "silent-after", "channel-timeout", "heartbeat",
-    "ack-interval", "mass-hz", "keyframe-interval", "bind-ip", "host-ips",
-    "trace-sample", "phase-profile"};
+    "telemetry-interval", "silent-after", "channel-timeout", "ack-interval",
+    "mass-hz", "keyframe-interval", "bind-ip", "host-ips", "trace-sample",
+    "phase-profile"};
 
 struct NodeSpec {
   std::string name;

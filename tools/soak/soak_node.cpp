@@ -227,7 +227,7 @@ int run(int argc, char** argv) {
       argc, argv,
       {"ack-interval", "archive", "base-port", "bind-ip", "cb-port",
        "channel-timeout", "delay-ms", "display-channel", "dup", "duration",
-       "heartbeat", "host", "host-ips", "impair-rx", "jitter-ms",
+       "host", "host-ips", "impair-rx", "jitter-ms",
        "keyframe-interval", "loss", "mass-classes", "mass-hz", "mass-index",
        "mass-nodes", "max-hosts", "monitor", "name", "peers", "phase-profile",
        "ports-per-host", "probe-hz", "quiesce", "reorder", "report", "role",
@@ -294,7 +294,6 @@ int run(int argc, char** argv) {
   core::CommunicationBackbone::Config cbCfg;
   cbCfg.broadcastIntervalSec = 0.05;
   cbCfg.refreshIntervalSec = 0.5;
-  cbCfg.heartbeatIntervalSec = args.num("heartbeat", 0.5);
   cbCfg.channelTimeoutSec = args.num("channel-timeout", 3.0);
   // Frequent cumulative acks keep the tail-RTO path honest under loss:
   // spurious retransmits of already-delivered frames would bias the
