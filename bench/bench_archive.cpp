@@ -150,7 +150,6 @@ struct Harness {
         if (j != i) lps.back()->subscribe(*cbs[i], classNames[j]);
       telemetry::TelemetryConfig tc;
       tc.intervalSec = 0.5;
-      tc.keyframeInterval = 2;
       pubs.push_back(std::make_unique<telemetry::TelemetryPublisher>(tc));
       pubs.back()->bind(*cbs[i]);
     }

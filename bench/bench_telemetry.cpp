@@ -9,7 +9,7 @@
 // share stays far below the 2 % budget this bench enforces (the process
 // exits non-zero past it, failing the CTest bench smoke lane).
 //
-// BM_TelemetryEncode prices one snapshot+encode, keyframe vs delta.
+// BM_TelemetryEncode prices one snapshot+encode of a keyframe.
 
 #include <benchmark/benchmark.h>
 
@@ -145,16 +145,12 @@ void BM_TelemetryOverhead(benchmark::State& state) {
 }
 
 void BM_TelemetryEncode(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
   Harness h(true);
   telemetry::StatRegistry registry(*h.cbs[1]);
-  const telemetry::NodeTelemetry base = registry.snapshot(3.0);
   std::uint64_t bytesOut = 0;
   std::uint64_t records = 0;
   for (auto _ : state) {
-    telemetry::NodeTelemetry t = registry.snapshot(3.5);
-    const auto bytes = delta ? telemetry::encodeTelemetryDelta(t, base)
-                             : telemetry::encodeTelemetry(t);
+    const auto bytes = telemetry::encodeTelemetry(registry.snapshot(3.5));
     benchmark::DoNotOptimize(bytes.data());
     bytesOut += bytes.size();
     ++records;
@@ -168,4 +164,4 @@ void BM_TelemetryEncode(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_TelemetryOverhead)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TelemetryEncode)->Arg(0)->Arg(1)->ArgNames({"delta"});
+BENCHMARK(BM_TelemetryEncode);

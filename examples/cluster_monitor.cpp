@@ -2,9 +2,9 @@
 // under injected loss and a partition.
 //
 // Four computers exchange 16 fps state traffic over the Communication
-// Backbone. Every computer runs a TelemetryPublisher (1 Hz, delta-encoded
-// against keyframes, riding the kBatch coalescer); "alpha" also runs the
-// HealthMonitor an instructor station would. The run has four acts:
+// Backbone. Every computer runs a TelemetryPublisher (1 Hz, each record a
+// self-contained keyframe riding the kBatch coalescer); "alpha" also runs
+// the HealthMonitor an instructor station would. The run has four acts:
 //
 //   1. clean LAN            — all nodes OK, rates live;
 //   2. 35 % loss to delta   — LOSS_SPIKE alarm;
@@ -100,7 +100,7 @@ int main() {
   v4.bind(bravo);
 
   // Telemetry on every computer; the aggregator beside alpha's viewer.
-  telemetry::TelemetryConfig tcfg;  // 1 Hz, keyframe every 10th
+  telemetry::TelemetryConfig tcfg;  // 1 Hz
   std::vector<std::unique_ptr<telemetry::TelemetryPublisher>> publishers;
   for (auto* cb : {&alpha, &bravo, &charlie, &delta}) {
     publishers.push_back(std::make_unique<telemetry::TelemetryPublisher>(tcfg));

@@ -42,7 +42,7 @@ class SensorLp final : public core::LogicalProcess {
   std::int64_t count_ = 0;
 };
 
-/// Receives telemetry via the push model.
+/// Receives telemetry as reflect callbacks.
 class MonitorLp final : public core::LogicalProcess {
  public:
   MonitorLp() : core::LogicalProcess("monitor") {}

@@ -325,22 +325,9 @@ void CommunicationBackbone::updateAttributeValues(PublicationHandle h,
   update(*pub, attrs, timestamp);
 }
 
-std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
-  SubscriptionEntry* sub = findSubscription(h);
-  if (sub == nullptr || sub->mailbox.empty()) return std::nullopt;
-  std::optional<Reflection> r(*sub->mailbox.front());
-  sub->mailbox.pop_front();
-  return r;
-}
-
 const Reflection* CommunicationBackbone::latest(SubscriptionHandle h) const {
   const SubscriptionEntry* sub = findSubscription(h);
   return sub != nullptr ? sub->latest.get() : nullptr;
-}
-
-std::size_t CommunicationBackbone::pending(SubscriptionHandle h) const {
-  const SubscriptionEntry* sub = findSubscription(h);
-  return sub != nullptr ? sub->mailbox.size() : 0;
 }
 
 std::size_t CommunicationBackbone::channelCount(PublicationHandle h) const {
@@ -407,7 +394,7 @@ void CommunicationBackbone::tick(double now) {
   const auto tRecv = prof ? Clock::now() : Clock::time_point{};
   runTimers(now);
   const auto tTimers = prof ? Clock::now() : Clock::time_point{};
-  if (cfg_.pushDelivery) deliverMailboxes();
+  deliverMailboxes();
   // Step LPs by id snapshot: an LP may attach/detach others in step().
   stepIds_.clear();
   for (const auto& [id, lp] : lps_) stepIds_.push_back(id);
@@ -618,7 +605,7 @@ void CommunicationBackbone::runTimers(double now) {
 }
 
 void CommunicationBackbone::deliverMailboxes() {
-  // Subscription-id order == creation order: push delivery across LPs
+  // Subscription-id order == creation order: delivery across LPs
   // must not depend on hash-table layout. A reflect callback may
   // (un)subscribe re-entrantly; once that has happened, entries are
   // re-found by handle, since a cached pointer may dangle. Subscriptions

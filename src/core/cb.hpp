@@ -9,8 +9,9 @@
 //  * the broadcast-until-ACKNOWLEDGE initialization protocol that discovers
 //    publishers for each subscription and builds *virtual channels*
 //    (publication-table entry linked to a remote subscription-table entry);
-//  * push/pull update routing over those channels, with a same-computer
-//    fast path when publisher and subscriber share a CB;
+//  * update routing over those channels, delivered to subscribers as
+//    reflect callbacks from tick(), with a same-computer fast path when
+//    publisher and subscriber share a CB;
 //  * dynamic join: a publisher CB keeps listening while it executes, so a
 //    new LP (e.g. an extra display) can be plugged in without restarting
 //    the system;
@@ -36,7 +37,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -56,8 +56,7 @@ namespace cod::core {
 class CommunicationBackbone;
 
 /// Base class for the paper's Logical Processes. Derive, override
-/// reflectAttributeValues() (push model) and/or poll the CB (pull model),
-/// and attach to the resident CB.
+/// reflectAttributeValues() and/or step(), and attach to the resident CB.
 class LogicalProcess {
  public:
   explicit LogicalProcess(std::string name) : name_(std::move(name)) {}
@@ -70,8 +69,9 @@ class LogicalProcess {
   /// The CB this LP is attached to, or null.
   CommunicationBackbone* backbone() const { return cb_; }
 
-  /// Push-model delivery of one subscribed update (HLA "reflect attribute
-  /// values"). Default does nothing — pull-model LPs poll instead.
+  /// Delivery of one subscribed update (HLA "reflect attribute values"),
+  /// from inside the CB's tick(). Default does nothing — an LP that only
+  /// needs the newest value can read CommunicationBackbone::latest().
   virtual void reflectAttributeValues(const std::string& className,
                                       const AttributeSet& attrs,
                                       double timestamp) {
@@ -171,9 +171,6 @@ class CommunicationBackbone {
     /// kHeartbeatIntervalSec long, or idle channels time out between
     /// keep-alives.
     double channelTimeoutSec = 3.0;
-    /// Push reflections to LogicalProcess::reflectAttributeValues on tick.
-    /// (Pull via poll()/latest() works in either mode.)
-    bool pushDelivery = true;
     /// Tunables of the kReliableOrdered channel machinery.
     net::ReliableConfig reliable;
     /// Optional flight recorder (telemetry/trace.hpp). Not owned; may be
@@ -238,17 +235,12 @@ class CommunicationBackbone {
   void updateAttributeValues(PublicationHandle h, const AttributeSet& attrs,
                              double timestamp);
 
-  /// Pull model: take the next queued reflection for a subscription (a
-  /// copy: `latest` may share the queued one).
-  std::optional<Reflection> poll(SubscriptionHandle h);
-  /// Pull model: latest reflection seen on a subscription (null if none).
+  /// Latest reflection seen on a subscription (null if none).
   /// The pointer stays valid until the subscription's next reflection
   /// replaces it, which can happen in the next tick() or, on the local
   /// fast path, the next updateAttributeValues() of the class on this CB:
   /// read it at once and copy what must outlive those calls.
   const Reflection* latest(SubscriptionHandle h) const;
-  /// Queued reflections not yet pulled/pushed.
-  std::size_t pending(SubscriptionHandle h) const;
 
   /// Number of live virtual channels attached to a publication.
   std::size_t channelCount(PublicationHandle h) const;

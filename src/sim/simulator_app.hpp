@@ -62,10 +62,9 @@ class CraneSimulatorApp {
   /// Returns true if the exam finished.
   bool runExam(double maxTimeSec);
 
-  /// Teardown telemetry: every computer flushes one final KEYFRAME so any
-  /// monitor's last view of the rack is the closing counters, decodable
-  /// without a delta base. Call before discarding the app (exam debrief,
-  /// rack shutdown).
+  /// Teardown telemetry: every computer flushes one final snapshot so any
+  /// monitor's last view of the rack is the closing counters. Call before
+  /// discarding the app (exam debrief, rack shutdown).
   void publishFinalTelemetry();
 
   double now() const { return cluster_.now(); }

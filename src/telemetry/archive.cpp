@@ -168,16 +168,6 @@ void TelemetryArchive::appendTraceDumpMarker(const std::string& dumpPath,
   append(rec);
 }
 
-void TelemetryArchive::appendLivenessPing(const std::string& node,
-                                          double monoSec) {
-  ArchiveRecord rec;
-  rec.type = ArchiveRecordType::kLivenessPing;
-  rec.monoSec = monoSec;
-  rec.wallSec = wallNowSec();
-  rec.node = node;
-  append(rec);
-}
-
 void TelemetryArchive::append(const ArchiveRecord& rec) {
   if (file_ == nullptr) return;
   net::WireWriter payload;
@@ -195,9 +185,6 @@ void TelemetryArchive::append(const ArchiveRecord& rec) {
       break;
     case ArchiveRecordType::kTraceDumpMarker:
       payload.str(rec.text);
-      break;
-    case ArchiveRecordType::kLivenessPing:
-      payload.str(rec.node);
       break;
   }
   // One fwrite for the whole frame, then fflush: after append() returns
@@ -342,18 +329,10 @@ void ArchiveReader::readSegment(const std::string& path,
         rec.text = std::move(*text);
         break;
       }
-      case ArchiveRecordType::kLivenessPing: {
-        auto node = r.str();
-        if (!node || !r.atEnd()) {
-          bodyOk = false;
-          break;
-        }
-        rec.node = std::move(*node);
-        break;
-      }
       default:
-        // CRC-valid record of a type this reader predates: skip it, keep
-        // walking — forward compatibility for future record kinds.
+        // CRC-valid record of a type this reader predates, or of the
+        // retired type 4: skip it, keep walking — forward compatibility
+        // for future record kinds, and older archives still read.
         bodyOk = false;
         break;
     }

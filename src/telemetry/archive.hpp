@@ -20,16 +20,15 @@
 //     [u8 record type][f64 monoSec][f64 wallSec][type-specific body]
 //
 // All integers little-endian (net/wire.hpp). Bodies:
-//   kSnapshot        raw encoded NodeTelemetry KEYFRAME bytes (to payload
-//                    end) — self-contained, decodeTelemetry() replays it
-//                    with no base, whatever encoding it arrived in live.
+//   kSnapshot        raw encoded NodeTelemetry bytes (to payload end) —
+//                    self-contained, decodeTelemetry() replays it.
 //   kAlarmEdge       [u8 kind][u8 severity][f64 alarm time][str node]
 //                    [str detail]
 //   kTraceDumpMarker [str dump path] — a flight-recorder ring was frozen
 //                    to that file at this moment.
-//   kLivenessPing    [str node] — the node proved alive without an
-//                    applicable snapshot (delta with a lost keyframe
-//                    base); replayers must refresh its liveness.
+// Type 4 (a liveness ping for a telemetry delta whose base was lost) is
+// retired with the delta encoding and never reused; readers skip it like
+// any unknown type.
 //
 // Durability contract: a writer killed at ANY byte (SIGKILL mid-fwrite)
 // must never poison the file. The reader treats a truncated trailer —
@@ -73,12 +72,7 @@ enum class ArchiveRecordType : std::uint8_t {
   kSnapshot = 1,
   kAlarmEdge = 2,
   kTraceDumpMarker = 3,
-  /// A record proved a node alive without an applicable snapshot (a
-  /// delta whose keyframe base the monitor lost still refreshes
-  /// liveness). Without these, an offline replay would judge silence
-  /// from applied snapshots alone and could raise NODE_SILENT edges the
-  /// live monitor never did. Body: [str node].
-  kLivenessPing = 4,
+  // 4 is retired (see the file comment).
 };
 
 /// One decoded archive record. Which fields are meaningful depends on
@@ -91,7 +85,7 @@ struct ArchiveRecord {
   /// Wall clock (Unix epoch seconds) at append time, for humans lining
   /// the archive up with external logs.
   double wallSec = 0.0;
-  /// kSnapshot: encoded NodeTelemetry keyframe (decodeTelemetry-ready).
+  /// kSnapshot: encoded NodeTelemetry record (decodeTelemetry-ready).
   std::vector<std::uint8_t> snapshot;
   /// kAlarmEdge: the monitor's HealthAlarm, flattened (kind/severity as
   /// their wire bytes so this header needs no monitor include).
@@ -128,7 +122,7 @@ class TelemetryArchive {
   bool ok() const { return file_ != nullptr; }
   const std::string& path() const { return cfg_.path; }
 
-  /// Append one encoded telemetry KEYFRAME (`encodeTelemetry` output).
+  /// Append one encoded telemetry record (`encodeTelemetry` output).
   /// `monoSec` is the caller's monotonic clock; the wall clock is
   /// stamped here.
   void appendSnapshot(std::span<const std::uint8_t> bytes, double monoSec);
@@ -136,7 +130,6 @@ class TelemetryArchive {
                    double alarmTimeSec, const std::string& node,
                    const std::string& detail, double monoSec);
   void appendTraceDumpMarker(const std::string& dumpPath, double monoSec);
-  void appendLivenessPing(const std::string& node, double monoSec);
   /// Fully-controlled append (tests stamp their own wall clock).
   void append(const ArchiveRecord& rec);
 

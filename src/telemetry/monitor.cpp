@@ -106,62 +106,22 @@ void HealthMonitor::reflectAttributeValues(const std::string& className,
     ++undecodable_;
     return;
   }
-  const std::vector<std::uint8_t>& bytes = v->asBlob();
-  const auto header = peekTelemetryHeader(bytes);
-  if (!header) {
-    ++undecodable_;
-    return;
-  }
-  if (header->baseSeq.has_value()) {
-    // Delta: decode against the sender's stored keyframe. A delta whose
-    // keyframe we missed (loss, or we joined mid-stream) still proves the
-    // node is alive — refresh its liveness but apply no counters; the
-    // next keyframe heals the chain. A delta whose base we DO hold but
-    // whose body will not decode is corruption, not keyframe loss, and
-    // must be counted as such or an operator chasing corrupt telemetry
-    // would be pointed at packet loss instead.
-    NodeState& st = nodes_[header->node];
-    NodeHealth& h = st.health;
-    const bool baseMatches =
-        st.keyframe && st.keyframe->seq == *header->baseSeq;
-    std::optional<NodeTelemetry> t;
-    if (baseMatches) t = decodeTelemetry(bytes, &*st.keyframe);
-    if (!t) {
-      if (baseMatches) {
-        ++undecodable_;
-      } else {
-        ++h.deltasRejected;
-      }
-      // Nothing applied, but the node proved alive: archive that fact
-      // (before the recovered edge below, so a replayer processes the
-      // ping — and raises its own matching edge — at this moment).
-      if (archive_ != nullptr)
-        archive_->appendLivenessPing(header->node, now_);
-      h.lastHeardSec = now_;
-      if (h.silent) {
-        h.silent = false;
-        raise(HealthAlarm::Kind::kNodeRecovered, header->node,
-              "node is back (awaiting keyframe)");
-      }
-      return;
-    }
-    applySnapshot(std::move(*t), /*isKeyframe=*/false);
-    return;
-  }
-  auto t = decodeTelemetry(bytes);
+  // A record that fails to decode is dropped whole: it refreshes no
+  // node's liveness and creates no row.
+  auto t = decodeTelemetry(v->asBlob());
   if (!t) {
     ++undecodable_;
     return;
   }
-  applySnapshot(std::move(*t), /*isKeyframe=*/true);
+  applySnapshot(std::move(*t));
 }
 
-void HealthMonitor::applySnapshot(NodeTelemetry&& t, bool isKeyframe) {
-  // A keyframe this far behind the node's last applied sequence is a
+void HealthMonitor::applySnapshot(NodeTelemetry&& t) {
+  // A record this far behind the node's last applied sequence is a
   // publisher restart, not reordering: at snapshot cadence (~1 Hz) a
   // record delayed by several whole intervals is effectively impossible
-  // on a LAN, while a restarted publisher whose literal seq-1 keyframe
-  // was lost (telemetry is best effort) would otherwise be stale-dropped
+  // on a LAN, while a restarted publisher whose literal seq-1 record was
+  // lost (telemetry is best effort) would otherwise be stale-dropped
   // until its new sequence caught the old one — a frozen health row for
   // however long the dead process had been up.
   constexpr std::uint64_t kRestartSeqGap = 3;
@@ -170,7 +130,7 @@ void HealthMonitor::applySnapshot(NodeTelemetry&& t, bool isKeyframe) {
   if (h.snapshotsApplied > 0) {
     const bool restarted =
         t.seq < h.last.seq &&
-        (t.seq == 1 || (isKeyframe && t.seq + kRestartSeqGap < h.last.seq));
+        (t.seq == 1 || t.seq + kRestartSeqGap < h.last.seq);
     if (restarted) {
       // Previous counters belong to a dead process — but a node that was
       // flagged SILENT and came back as a new process still owes the feed
@@ -188,7 +148,7 @@ void HealthMonitor::applySnapshot(NodeTelemetry&& t, bool isKeyframe) {
     // computed ONCE from the seq-paired publisher clocks. The sequence
     // check above guarantees cur is newer than prev, so a non-positive dt
     // means the publisher clock itself went backwards — a restart whose
-    // seq-reset keyframe was lost (telemetry is best effort). Deriving
+    // seq-reset record was lost (telemetry is best effort). Deriving
     // rates from that pair would divide counter deltas of two different
     // processes; reset instead, exactly like an announced restart.
     const double dt = t.nodeTimeSec - h.last.nodeTimeSec;
@@ -206,11 +166,9 @@ void HealthMonitor::applySnapshot(NodeTelemetry&& t, bool isKeyframe) {
   }
   h.lastHeardSec = now_;
   ++h.snapshotsApplied;
-  if (isKeyframe) st.keyframe = t;
-  // Archive the applied state re-encoded as a KEYFRAME (self-contained:
-  // a delta's base might land in a rotated-away segment), stamped with
-  // this monitor's clock — replaying against these timestamps reproduces
-  // its silence judgement exactly.
+  // Archive the applied state re-encoded, stamped with this monitor's
+  // clock — replaying against these timestamps reproduces its silence
+  // judgement exactly.
   if (archive_ != nullptr) archive_->appendSnapshot(encodeTelemetry(t), now_);
   h.last = std::move(t);
 }
@@ -428,16 +386,6 @@ void HealthMonitor::deriveChannelAlarms(NodeState& st,
       it = st.channelAlarms.erase(it);
     else
       ++it;
-  }
-}
-
-void HealthMonitor::noteLiveness(const std::string& node) {
-  NodeHealth& h = nodes_[node].health;
-  h.lastHeardSec = now_;
-  if (h.silent) {
-    h.silent = false;
-    raise(HealthAlarm::Kind::kNodeRecovered, node,
-          "node is back (awaiting keyframe)");
   }
 }
 

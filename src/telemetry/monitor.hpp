@@ -5,10 +5,9 @@
 // cod.telemetry class, so it can run on any computer of the cluster (the
 // instructor station runs one for its health table; the scenario computer
 // runs one to annotate the exam debrief). From each node's snapshot
-// stream it tracks liveness/staleness, reassembles delta records against
-// their keyframes, derives rates from successive snapshots (updates/s,
-// inbound loss %, retransmits/s, bytes per datagram) and raises
-// threshold alarms:
+// stream it tracks liveness/staleness, derives rates from successive
+// snapshots (updates/s, inbound loss %, retransmits/s, bytes per
+// datagram) and raises threshold alarms:
 //
 //   kNodeSilent         no snapshot for N publish intervals
 //   kNodeRecovered      a silent node spoke again
@@ -29,7 +28,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -148,8 +146,7 @@ struct NodeHealth {
   double lastHeardSec = 0.0;   // monitor clock when it arrived
   bool silent = false;
   std::uint64_t snapshotsApplied = 0;
-  std::uint64_t deltasRejected = 0;  // lost their keyframe; healed later
-  std::uint64_t staleDropped = 0;    // out-of-order or repeated sequence
+  std::uint64_t staleDropped = 0;  // out-of-order or repeated sequence
   /// Rates over the last pair of applied snapshots (0 until two arrive).
   double updatesPerSec = 0.0;
   /// Inbound loss from transport frame accounting. Exact on SimNetwork
@@ -194,12 +191,6 @@ class HealthMonitor : public core::LogicalProcess {
                               double timestamp) override;
   void step(double now) override;
 
-  /// Replay hook (cod_inspect feeds archive kLivenessPing records here):
-  /// `node` proved alive at the monitor's current clock without an
-  /// applicable snapshot — refresh its liveness, raising the recovered
-  /// edge if it was silent, exactly as the live rejected-delta path does.
-  void noteLiveness(const std::string& node);
-
   /// Names of every node heard from so far, in name order (the display
   /// order of the health table).
   std::vector<std::string> nodeNames() const;
@@ -215,8 +206,8 @@ class HealthMonitor : public core::LogicalProcess {
   double peakLossPct() const { return peakLossPct_; }
   const std::string& peakLossNode() const { return peakLossNode_; }
 
-  /// Snapshots that failed to decode outright (corruption); rejected
-  /// deltas are tracked per node instead.
+  /// Records that failed to decode (corruption, or a format this monitor
+  /// does not speak). They name no node, so no row counts them.
   std::uint64_t undecodableDropped() const { return undecodable_; }
 
   /// ASCII health table (one row per node) for the instructor station.
@@ -239,7 +230,7 @@ class HealthMonitor : public core::LogicalProcess {
                                     std::uint64_t seq);
 
   /// Wire a flight-data archive (not owned) to this monitor: every
-  /// applied snapshot is re-encoded as a keyframe and appended, along
+  /// applied snapshot is re-encoded and appended, along
   /// with every alarm edge and CRIT dump marker — the durable record
   /// cod_inspect replays offline. Null detaches.
   void attachArchive(TelemetryArchive* archive) { archive_ = archive; }
@@ -257,7 +248,6 @@ class HealthMonitor : public core::LogicalProcess {
 
   struct NodeState {
     NodeHealth health;
-    std::optional<NodeTelemetry> keyframe;  // delta base
     bool lossAlarm = false;
     bool retxAlarm = false;
     bool overflowAlarm = false;
@@ -265,7 +255,7 @@ class HealthMonitor : public core::LogicalProcess {
     std::map<std::uint32_t, ChannelAlarmState> channelAlarms;
   };
 
-  void applySnapshot(NodeTelemetry&& t, bool isKeyframe);
+  void applySnapshot(NodeTelemetry&& t);
   /// `dtSec` is the snapshot-interval length, computed ONCE in
   /// applySnapshot from the seq-paired nodeTimeSec of the two snapshots
   /// being diffed — never recomputed per derivation, so every rate in one

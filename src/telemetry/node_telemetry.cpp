@@ -77,7 +77,8 @@ constexpr std::array kCounterFields{
 
 #undef COD_COUNTER
 
-constexpr std::uint8_t kFlagDelta = 0x01;
+/// Header flags. Bit 0x01 marked the retired delta encoding; it stays
+/// undefined and is never reused.
 constexpr std::uint8_t kFlagPhases = 0x02;
 
 /// Channel flags byte: direction, QoS and liveness packed together.
@@ -85,11 +86,9 @@ constexpr std::uint8_t kChanOutbound = 0x01;
 constexpr std::uint8_t kChanReliable = 0x02;
 constexpr std::uint8_t kChanLive = 0x04;
 
-void encodeHeader(net::WireWriter& w, const NodeTelemetry& t,
-                  std::uint8_t flags) {
-  if (t.phaseProfiling) flags |= kFlagPhases;
+void encodeHeader(net::WireWriter& w, const NodeTelemetry& t) {
   w.u8(kTelemetryVersion);
-  w.u8(flags);
+  w.u8(t.phaseProfiling ? kFlagPhases : 0);
   w.u64(t.seq);
   w.str(t.node);
   w.u32(t.addr.host);
@@ -120,40 +119,34 @@ void encodeChannels(net::WireWriter& w, const NodeTelemetry& t) {
 // ---- v3 histogram block --------------------------------------------------
 //
 // Per histogram: the scalar summary in full, then the bucket array as a
-// sparse (index, count) list — most of the 96 buckets of a log histogram
-// are empty, and in a delta only the buckets that changed since the base
-// keyframe are listed. Indices are strictly ascending on the wire so a
-// decoder can reject duplicates and garbage in one pass.
+// sparse (index, count) list of the non-zero buckets — most of the 96
+// buckets of a log histogram are empty. Indices are strictly ascending on
+// the wire so a decoder can reject duplicates and garbage in one pass.
 
-void encodeHistogram(net::WireWriter& w, const HistogramSnapshot& s,
-                     const HistogramSnapshot* base) {
+void encodeHistogram(net::WireWriter& w, const HistogramSnapshot& s) {
   w.u64(s.count);
   w.f64(s.sum);
   w.f64(s.min);
   w.f64(s.max);
   std::uint16_t listed = 0;
-  for (std::size_t i = 0; i < kHistBuckets; ++i) {
-    const std::uint64_t prev = base != nullptr ? base->buckets[i] : 0;
-    if (s.buckets[i] != prev) ++listed;
-  }
+  for (const std::uint64_t b : s.buckets)
+    if (b != 0) ++listed;
   w.u16(listed);
   for (std::size_t i = 0; i < kHistBuckets; ++i) {
-    const std::uint64_t prev = base != nullptr ? base->buckets[i] : 0;
-    if (s.buckets[i] == prev) continue;
+    if (s.buckets[i] == 0) continue;
     w.u16(static_cast<std::uint16_t>(i));
     w.u64(s.buckets[i]);
   }
 }
 
-bool decodeHistogram(net::WireReader& r, HistogramSnapshot& s,
-                     const HistogramSnapshot* base) {
+bool decodeHistogram(net::WireReader& r, HistogramSnapshot& s) {
   const auto count = r.u64();
   const auto sum = r.f64();
   const auto min = r.f64();
   const auto max = r.f64();
   const auto listed = r.u16();
   if (!count || !sum || !min || !max || !listed) return false;
-  s = base != nullptr ? *base : HistogramSnapshot{};
+  s = HistogramSnapshot{};
   s.count = *count;
   s.sum = *sum;
   s.min = *min;
@@ -173,23 +166,17 @@ bool decodeHistogram(net::WireReader& r, HistogramSnapshot& s,
   return true;
 }
 
-void encodeHistograms(net::WireWriter& w, const NodeTelemetry& t,
-                      const NodeTelemetry* base) {
+void encodeHistograms(net::WireWriter& w, const NodeTelemetry& t) {
   w.u16(static_cast<std::uint16_t>(CbHistograms::kCount));
-  for (std::size_t i = 0; i < CbHistograms::kCount; ++i)
-    encodeHistogram(w, t.hists[i], base != nullptr ? &base->hists[i] : nullptr);
+  for (const HistogramSnapshot& s : t.hists) encodeHistogram(w, s);
 }
 
-bool decodeHistograms(net::WireReader& r, NodeTelemetry& t,
-                      const NodeTelemetry* base) {
+bool decodeHistograms(net::WireReader& r, NodeTelemetry& t) {
   const auto count = r.u16();
   // This version defines the histogram set exactly, like the counter table.
   if (!count || *count != CbHistograms::kCount) return false;
-  for (std::size_t i = 0; i < CbHistograms::kCount; ++i) {
-    if (!decodeHistogram(r, t.hists[i],
-                         base != nullptr ? &base->hists[i] : nullptr))
-      return false;
-  }
+  for (HistogramSnapshot& s : t.hists)
+    if (!decodeHistogram(r, s)) return false;
   return true;
 }
 
@@ -198,24 +185,17 @@ bool decodeHistograms(net::WireReader& r, NodeTelemetry& t,
 // Same sparse layout as the v3 histogram block, kTickPhaseCount entries
 // in TickPhase order. Present iff the header's kFlagPhases bit is set.
 
-void encodePhases(net::WireWriter& w, const NodeTelemetry& t,
-                  const NodeTelemetry* base) {
+void encodePhases(net::WireWriter& w, const NodeTelemetry& t) {
   w.u16(static_cast<std::uint16_t>(kTickPhaseCount));
-  for (std::size_t i = 0; i < kTickPhaseCount; ++i)
-    encodeHistogram(w, t.phases[i],
-                    base != nullptr ? &base->phases[i] : nullptr);
+  for (const HistogramSnapshot& s : t.phases) encodeHistogram(w, s);
 }
 
-bool decodePhases(net::WireReader& r, NodeTelemetry& t,
-                  const NodeTelemetry* base) {
+bool decodePhases(net::WireReader& r, NodeTelemetry& t) {
   const auto count = r.u16();
   // The version defines the phase set exactly, like the histogram set.
   if (!count || *count != kTickPhaseCount) return false;
-  for (std::size_t i = 0; i < kTickPhaseCount; ++i) {
-    if (!decodeHistogram(r, t.phases[i],
-                         base != nullptr ? &base->phases[i] : nullptr))
-      return false;
-  }
+  for (HistogramSnapshot& s : t.phases)
+    if (!decodeHistogram(r, s)) return false;
   return true;
 }
 
@@ -300,75 +280,25 @@ void setCounterValue(NodeTelemetry& t, std::size_t i, std::uint64_t v) {
 
 std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t) {
   net::WireWriter w;
-  encodeHeader(w, t, 0);
+  encodeHeader(w, t);
   w.u16(static_cast<std::uint16_t>(kCounterFields.size()));
   for (std::size_t i = 0; i < kCounterFields.size(); ++i)
     w.u64(counterValue(t, i));
   encodeChannels(w, t);
-  encodeHistograms(w, t, nullptr);
+  encodeHistograms(w, t);
   encodeTableLoad(w, t);
-  if (t.phaseProfiling) encodePhases(w, t, nullptr);
+  if (t.phaseProfiling) encodePhases(w, t);
   return w.take();
 }
 
-std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
-                                               const NodeTelemetry& base) {
-  net::WireWriter w;
-  encodeHeader(w, t, kFlagDelta);
-  w.u64(base.seq);
-  std::uint16_t changed = 0;
-  for (std::size_t i = 0; i < kCounterFields.size(); ++i)
-    if (counterValue(t, i) != counterValue(base, i)) ++changed;
-  w.u16(changed);
-  for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
-    if (counterValue(t, i) == counterValue(base, i)) continue;
-    w.u16(static_cast<std::uint16_t>(i));
-    w.u64(counterValue(t, i));
-  }
-  encodeChannels(w, t);
-  encodeHistograms(w, t, &base);
-  encodeTableLoad(w, t);
-  if (t.phaseProfiling) encodePhases(w, t, &base);
-  return w.take();
-}
-
-std::optional<TelemetryHeader> peekTelemetryHeader(
+std::optional<NodeTelemetry> decodeTelemetry(
     std::span<const std::uint8_t> bytes) {
   net::WireReader r(bytes);
   const auto version = r.u8();
   const auto flags = r.u8();
   if (!version || !flags) return std::nullopt;
   if (*version != kTelemetryVersion) return std::nullopt;
-  if ((*flags & ~(kFlagDelta | kFlagPhases)) != 0) return std::nullopt;
-  const auto seq = r.u64();
-  auto node = r.str();
-  const auto host = r.u32();
-  const auto port = r.u16();
-  const auto time = r.f64();
-  if (!seq || !node || !host || !port || !time) return std::nullopt;
-  TelemetryHeader h;
-  h.seq = *seq;
-  h.node = std::move(*node);
-  h.addr = {*host, *port};
-  h.nodeTimeSec = *time;
-  if ((*flags & kFlagDelta) != 0) {
-    const auto baseSeq = r.u64();
-    if (!baseSeq) return std::nullopt;
-    h.baseSeq = *baseSeq;
-  }
-  return h;
-}
-
-std::optional<NodeTelemetry> decodeTelemetry(
-    std::span<const std::uint8_t> bytes, const NodeTelemetry* base) {
-  net::WireReader r(bytes);
-  const auto version = r.u8();
-  const auto flags = r.u8();
-  if (!version || !flags) return std::nullopt;
-  if (*version != kTelemetryVersion) return std::nullopt;
-  if ((*flags & ~(kFlagDelta | kFlagPhases)) != 0) return std::nullopt;
-  const bool delta = (*flags & kFlagDelta) != 0;
-  const bool hasPhases = (*flags & kFlagPhases) != 0;
+  if ((*flags & ~kFlagPhases) != 0) return std::nullopt;
 
   NodeTelemetry t;
   const auto seq = r.u64();
@@ -382,44 +312,22 @@ std::optional<NodeTelemetry> decodeTelemetry(
   t.addr = {*host, *port};
   t.nodeTimeSec = *time;
 
-  if (delta) {
-    const auto baseSeq = r.u64();
-    if (!baseSeq) return std::nullopt;
-    // A delta without its base is undecodable by construction — the
-    // monitor waits for the next keyframe rather than inventing counters.
-    if (base == nullptr || base->seq != *baseSeq) return std::nullopt;
-    t.cb = base->cb;
-    t.transport = base->transport;
-    const auto changed = r.u16();
-    if (!changed) return std::nullopt;
-    std::uint16_t lastIdx = 0;
-    for (std::uint16_t i = 0; i < *changed; ++i) {
-      const auto idx = r.u16();
-      const auto value = r.u64();
-      if (!idx || !value) return std::nullopt;
-      if (*idx >= kCounterFields.size()) return std::nullopt;
-      if (i > 0 && *idx <= lastIdx) return std::nullopt;  // must ascend
-      lastIdx = *idx;
-      setCounterValue(t, *idx, *value);
-    }
-  } else {
-    const auto count = r.u16();
-    // The version defines the counter table exactly; a keyframe claiming a
-    // different size is from no encoder of this version.
-    if (!count || *count != kCounterFields.size()) return std::nullopt;
-    for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
-      const auto value = r.u64();
-      if (!value) return std::nullopt;
-      setCounterValue(t, i, *value);
-    }
+  const auto count = r.u16();
+  // The version defines the counter table exactly; a record claiming a
+  // different size is from no encoder of this version.
+  if (!count || *count != kCounterFields.size()) return std::nullopt;
+  for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
+    const auto value = r.u64();
+    if (!value) return std::nullopt;
+    setCounterValue(t, i, *value);
   }
 
   if (!decodeChannels(r, t)) return std::nullopt;
-  if (!decodeHistograms(r, t, delta ? base : nullptr)) return std::nullopt;
+  if (!decodeHistograms(r, t)) return std::nullopt;
   if (!decodeTableLoad(r, t)) return std::nullopt;
-  if (hasPhases) {
+  if ((*flags & kFlagPhases) != 0) {
     t.phaseProfiling = true;
-    if (!decodePhases(r, t, delta ? base : nullptr)) return std::nullopt;
+    if (!decodePhases(r, t)) return std::nullopt;
   }
   // Trailing bytes mean corruption (or a newer, larger format lying about
   // its version): reject wholesale.

@@ -8,17 +8,11 @@
 // counters, and a per-channel health list (age since last frame,
 // retransmits, window occupancy).
 //
-// Two encodings share one decoder:
-//   * keyframe — every counter, self-contained;
-//   * delta    — only the counters that changed since a base keyframe,
-//     referenced by sequence number. Telemetry rides best-effort channels
-//     (a lost snapshot is superseded, retransmitting stale stats would be
-//     absurd), so deltas are encoded against the last *keyframe*, not the
-//     previous delta: any number of lost deltas heals at the next arrival,
-//     and a lost keyframe costs at most one keyframe interval of data.
-// The channel list is always encoded in full — it is small, and its shape
-// (channels appearing and vanishing) is exactly what must not be guessed
-// from a diff.
+// Every record is a self-contained keyframe: every counter, every
+// histogram bucket that is not zero. Telemetry rides best-effort channels
+// (a lost snapshot is superseded, retransmitting stale stats would be
+// absurd), and a keyframe needs nothing earlier to decode, so any number
+// of lost records heals at the next arrival.
 #pragma once
 
 #include <array>
@@ -37,9 +31,11 @@ namespace cod::telemetry {
 /// Wire-format version, first byte of every record. Decoders reject
 /// anything else (a mixed-version cluster must fail loudly, not
 /// misinterpret counters). Version 8 is the 44-row counter table, with
-/// the tick-phase block present iff flags bit 0x02 is set. Versions 1–7
-/// are retired (docs/WIRE.md keeps their history), and their numbers are
-/// never reused.
+/// the tick-phase block present iff flags bit 0x02 is set. Flags bit 0x01
+/// (the retired delta encoding) is undefined, so a delta from an older
+/// publisher is rejected, never misread. Versions 1–7 are retired
+/// (docs/WIRE.md keeps their history), and their numbers are never
+/// reused.
 inline constexpr std::uint8_t kTelemetryVersion = 8;
 
 /// Reserved object class the publishers publish on and monitors subscribe
@@ -87,34 +83,12 @@ void setCounterValue(NodeTelemetry& t, std::size_t i, std::uint64_t v);
 
 /// Encode a self-contained keyframe snapshot.
 std::vector<std::uint8_t> encodeTelemetry(const NodeTelemetry& t);
-/// Encode `t` as a delta against `base` (a keyframe the receiver should
-/// hold): identity, time and channels in full, counters only where they
-/// differ from `base`.
-std::vector<std::uint8_t> encodeTelemetryDelta(const NodeTelemetry& t,
-                                               const NodeTelemetry& base);
 
-/// Identity header of a record, readable without the base a delta would
-/// need: lets a monitor route the record to the right node's keyframe and
-/// distinguish "waiting for a keyframe" from corruption.
-struct TelemetryHeader {
-  std::uint64_t seq = 0;
-  std::string node;
-  net::NodeAddr addr;
-  double nodeTimeSec = 0.0;
-  /// Set iff the record is a delta: the keyframe sequence it requires.
-  std::optional<std::uint64_t> baseSeq;
-};
-
-std::optional<TelemetryHeader> peekTelemetryHeader(
-    std::span<const std::uint8_t> bytes);
-
-/// Decode either encoding. Delta records require `base` with the matching
-/// sequence; keyframes ignore `base`. Rejects (nullopt) truncated input,
-/// trailing bytes, bad version, unknown or non-ascending counter indices,
-/// or a delta whose base is absent/mismatched — a monitor must drop,
-/// never guess.
+/// Decode a keyframe. Rejects (nullopt) truncated input, trailing bytes,
+/// a bad version, undefined flag bits, a counter, histogram or phase set
+/// of the wrong size, and out-of-range or non-ascending bucket indices —
+/// a monitor must drop, never guess.
 std::optional<NodeTelemetry> decodeTelemetry(
-    std::span<const std::uint8_t> bytes,
-    const NodeTelemetry* base = nullptr);
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace cod::telemetry

@@ -22,34 +22,8 @@ void TelemetryPublisher::publishNow(double now) {
   if (pub_ == core::kInvalidHandle) return;
   // The snapshot is taken before this update perturbs the counters, so a
   // record never counts its own datagram.
-  NodeTelemetry t = registry_->snapshot(now);
-  // A subscriber that just connected has no keyframe to decode deltas
-  // against — it would stay blind until the schedule produced one. Any
-  // change in the fan-out forces a keyframe instead; the cumulative
-  // established-channel counter additionally catches a subscriber *swap*
-  // (one leaves, another joins between publishes), which leaves the net
-  // count unchanged. (The counter is CB-wide, so unrelated publications
-  // connecting cost at worst a spurious keyframe — harmless.)
-  const std::size_t fanOut = cb_->channelCount(pub_);
-  const std::uint64_t established = cb_->stats().channelsEstablishedOut;
-  const bool newSubscriber =
-      fanOut != lastFanOut_ || established > lastEstablished_;
-  lastFanOut_ = fanOut;
-  lastEstablished_ = established;
-  const bool keyframe = !lastKeyframe_ || cfg_.keyframeInterval <= 1 ||
-                        sinceKeyframe_ >= cfg_.keyframeInterval - 1 ||
-                        newSubscriber;
-  std::vector<std::uint8_t> bytes =
-      keyframe ? encodeTelemetry(t) : encodeTelemetryDelta(t, *lastKeyframe_);
-  if (keyframe) {
-    lastKeyframe_ = std::move(t);
-    sinceKeyframe_ = 0;
-    ++keyframes_;
-  } else {
-    ++sinceKeyframe_;
-  }
   core::AttributeSet attrs;
-  attrs.set(kTelemetryAttr, std::move(bytes));
+  attrs.set(kTelemetryAttr, encodeTelemetry(registry_->snapshot(now)));
   cb_->updateAttributeValues(pub_, attrs, now);
   lastPublishSec_ = now;
   ++published_;
@@ -57,12 +31,7 @@ void TelemetryPublisher::publishNow(double now) {
 
 void TelemetryPublisher::publishFinal(double now) {
   if (pub_ == core::kInvalidHandle) return;
-  // Dropping the keyframe base forces publishNow onto the keyframe path
-  // (a publisher cannot delta against a base it no longer holds).
-  lastKeyframe_.reset();
   publishNow(now);
-  // The record must actually leave: there may be no next tick to flush
-  // the coalescer for us.
   cb_->flushBatches();
 }
 

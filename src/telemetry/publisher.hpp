@@ -8,12 +8,10 @@
 // subscribed peer per interval, and usually zero extra datagrams because
 // the record rides a kBatch container that was leaving anyway.
 //
-// Snapshots alternate between keyframes (full counter table) and deltas
-// against the last keyframe (see node_telemetry.hpp for why the base is
-// the keyframe and not the previous snapshot). The channel is best effort
-// by design: a lost snapshot is superseded by the next one, and
-// retransmitting last second's counters would only add traffic exactly
-// when the network is already in trouble.
+// Every snapshot is a self-contained keyframe (node_telemetry.hpp). The
+// channel is best effort by design: a lost snapshot is superseded by the
+// next one, and retransmitting last second's counters would only add
+// traffic exactly when the network is already in trouble.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +28,6 @@ struct TelemetryConfig {
   /// Snapshot cadence. ~1 Hz is plenty for a human-watched health table
   /// and keeps the overhead unmeasurable next to 16 fps state traffic.
   double intervalSec = 1.0;
-  /// Every Nth snapshot is a keyframe; the rest are deltas against the
-  /// last keyframe. 1 disables deltas entirely.
-  std::uint32_t keyframeInterval = 10;
 };
 
 class TelemetryPublisher : public core::LogicalProcess {
@@ -48,15 +43,12 @@ class TelemetryPublisher : public core::LogicalProcess {
   /// markers, tests).
   void publishNow(double now);
 
-  /// Teardown snapshot: force one final KEYFRAME out now and flush it.
-  /// Call right before the node stops ticking (shutdown, BYE): the
-  /// closing counters must be decodable on their own — a trailing delta
-  /// would be worthless to any monitor that lost its keyframe, and no
-  /// later snapshot will ever heal it.
+  /// Teardown snapshot: publishNow, then flush it. Call right before the
+  /// node stops ticking (shutdown, BYE): there may be no next tick to
+  /// flush the coalescer.
   void publishFinal(double now);
 
   std::uint64_t snapshotsPublished() const { return published_; }
-  std::uint64_t keyframesPublished() const { return keyframes_; }
   const TelemetryConfig& config() const { return cfg_; }
 
  private:
@@ -64,13 +56,8 @@ class TelemetryPublisher : public core::LogicalProcess {
   core::CommunicationBackbone* cb_ = nullptr;
   std::optional<StatRegistry> registry_;
   core::PublicationHandle pub_ = core::kInvalidHandle;
-  std::optional<NodeTelemetry> lastKeyframe_;
-  std::uint32_t sinceKeyframe_ = 0;
-  std::size_t lastFanOut_ = 0;
-  std::uint64_t lastEstablished_ = 0;
   double lastPublishSec_ = -1e300;
   std::uint64_t published_ = 0;
-  std::uint64_t keyframes_ = 0;
 };
 
 }  // namespace cod::telemetry

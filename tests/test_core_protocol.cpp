@@ -6,6 +6,7 @@
 #include <array>
 
 #include "net/transport.hpp"
+#include "telemetry/monitor.hpp"
 #include "telemetry/node_telemetry.hpp"
 
 namespace cod::core {
@@ -531,6 +532,23 @@ telemetry::NodeTelemetry sampleTelemetry() {
   return t;
 }
 
+// sampleTelemetry() with the phase profiler on and distinct nonzero
+// content in every phase histogram.
+telemetry::NodeTelemetry samplePhasedTelemetry() {
+  auto t = sampleTelemetry();
+  t.phaseProfiling = true;
+  for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p) {
+    telemetry::HistogramSnapshot& s = t.phases[p];
+    s.count = 400 + p;
+    s.sum = 0.25 * static_cast<double>(p + 1);
+    s.min = 1e-6;
+    s.max = 0.01 + static_cast<double>(p) * 1e-3;
+    s.buckets[5] = 100 + p;
+    s.buckets[60 + p] = 200 + p;
+  }
+  return t;
+}
+
 void expectTelemetryEq(const telemetry::NodeTelemetry& a,
                        const telemetry::NodeTelemetry& b) {
   EXPECT_EQ(a.seq, b.seq);
@@ -569,50 +587,6 @@ TEST(TelemetryWire, KeyframeRoundTrips) {
   const auto d = telemetry::decodeTelemetry(bytes);
   ASSERT_TRUE(d.has_value());
   expectTelemetryEq(*d, t);
-  // A keyframe identifies itself: no base sequence in the header.
-  const auto header = telemetry::peekTelemetryHeader(bytes);
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header->seq, 17u);
-  EXPECT_EQ(header->node, "dynamics");
-  EXPECT_FALSE(header->baseSeq.has_value());
-}
-
-TEST(TelemetryWire, DeltaRoundTripsAgainstKeyframe) {
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.nodeTimeSec = 124.25;
-  telemetry::setCounterValue(next, 4, 99999);   // cb.updatesSent
-  telemetry::setCounterValue(next, 35, 55555);  // a transport counter
-  next.channels[1].live = true;
-  // One histogram grows a bucket; a delta lists only that bucket, and the
-  // decode seeds the rest from the keyframe.
-  next.hists[0].count += 4;
-  next.hists[0].sum += 0.25;
-  next.hists[0].buckets[3] += 4;
-  next.tableLoad[1].inChannels = 9;
-  const auto bytes = telemetry::encodeTelemetryDelta(next, base);
-  // Deltas only carry changed counters: much smaller than a keyframe.
-  EXPECT_LT(bytes.size(), telemetry::encodeTelemetry(next).size() / 2);
-  const auto header = telemetry::peekTelemetryHeader(bytes);
-  ASSERT_TRUE(header.has_value());
-  ASSERT_TRUE(header->baseSeq.has_value());
-  EXPECT_EQ(*header->baseSeq, base.seq);
-  const auto d = telemetry::decodeTelemetry(bytes, &base);
-  ASSERT_TRUE(d.has_value());
-  expectTelemetryEq(*d, next);
-}
-
-TEST(TelemetryWire, DeltaWithoutMatchingBaseRejected) {
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  telemetry::setCounterValue(next, 0, 1);
-  const auto bytes = telemetry::encodeTelemetryDelta(next, base);
-  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
-  auto wrongBase = base;
-  wrongBase.seq = 16;  // stale keyframe: counters could be anything
-  EXPECT_FALSE(telemetry::decodeTelemetry(bytes, &wrongBase).has_value());
 }
 
 TEST(TelemetryWire, TruncatedRecordsRejectedAtEveryLength) {
@@ -623,15 +597,13 @@ TEST(TelemetryWire, TruncatedRecordsRejectedAtEveryLength) {
     EXPECT_FALSE(telemetry::decodeTelemetry(prefix).has_value())
         << "prefix length " << len;
   }
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  telemetry::setCounterValue(next, 10, 424242);
-  const auto delta = telemetry::encodeTelemetryDelta(next, base);
-  for (std::size_t len = 0; len < delta.size(); ++len) {
-    const auto prefix = std::span<const std::uint8_t>(delta).first(len);
-    EXPECT_FALSE(telemetry::decodeTelemetry(prefix, &base).has_value())
-        << "delta prefix length " << len;
+  // The phase block is the last block: every prefix of a phased record
+  // that stops inside it must reject too, although the phase flag is set.
+  const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
+  for (std::size_t len = 0; len < phased.size(); ++len) {
+    const auto prefix = std::span<const std::uint8_t>(phased).first(len);
+    EXPECT_FALSE(telemetry::decodeTelemetry(prefix).has_value())
+        << "phased prefix length " << len;
   }
 }
 
@@ -650,25 +622,25 @@ TEST(TelemetryWire, CorruptRecordsRejected) {
   auto wrongFlags = bytes;
   wrongFlags[1] = 0x80;
   EXPECT_FALSE(telemetry::decodeTelemetry(wrongFlags).has_value());
-  // A delta naming a counter index beyond the table.
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  telemetry::setCounterValue(next, 0, base.cb.broadcastsSent + 1);
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  // Locate the (single) changed-field index right after the u16 count that
-  // follows the header; corrupt it to an out-of-range value.
-  const std::size_t headerSize = 1 + 1 + 8 + (2 + next.node.size()) + 4 + 2 +
-                                 8 + 8;  // ver,flags,seq,str,host,port,time,baseSeq
-  ASSERT_LT(headerSize + 3, delta.size());
-  delta[headerSize + 2] = 0xFF;  // field index low byte
-  delta[headerSize + 3] = 0xFF;  // field index high byte
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+  // A counter table of another size. The u16 count follows the header
+  // (version, flags, seq, node, host, port, time); the counters after it
+  // are well formed, so only the count check can reject the record.
+  const std::size_t headerSize = 1 + 1 + 8 + (2 + t.node.size()) + 4 + 2 + 8;
+  ASSERT_EQ(bytes[headerSize], telemetry::counterCount());
+  ASSERT_EQ(bytes[headerSize + 1], 0);
+  for (const std::size_t claimed :
+       {telemetry::counterCount() - 1, telemetry::counterCount() + 1}) {
+    auto wrongCount = bytes;
+    wrongCount[headerSize] = static_cast<std::uint8_t>(claimed);
+    EXPECT_FALSE(telemetry::decodeTelemetry(wrongCount).has_value())
+        << claimed;
+  }
 }
 
 // Locate a unique little-endian byte pattern inside an encoded record —
-// how the histogram-fuzz tests find a bucket entry to corrupt without
-// hard-coding block offsets.
+// how the histogram tests find a bucket entry to corrupt without
+// hard-coding block offsets. A keyframe lists every non-zero bucket, so a
+// distinctive count planted in the sample is found as [u16 idx][u64 n].
 std::size_t findPattern(const std::vector<std::uint8_t>& bytes,
                         const std::vector<std::uint8_t>& pattern) {
   const auto it =
@@ -677,110 +649,51 @@ std::size_t findPattern(const std::vector<std::uint8_t>& bytes,
   return static_cast<std::size_t>(it - bytes.begin());
 }
 
-TEST(TelemetryWire, CounterDeltaNonAscendingIndexRejected) {
-  // Counter indices in a delta ascend strictly, like histogram buckets: a
-  // delta naming one counter twice, or out of order, is corrupt.
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  telemetry::setCounterValue(next, 3, 0x1111);
-  telemetry::setCounterValue(next, 10, 0x2222);
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
-  // The two entries ride as [u16 3][u64 0x1111][u16 10][u64 0x2222].
-  const std::size_t at =
-      findPattern(delta, {10, 0, 0x22, 0x22, 0, 0, 0, 0, 0, 0});
-  ASSERT_EQ(delta[at - 10], 3);
-  delta[at] = 3;  // the second entry repeats the first index
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[at] = 2;  // the second entry indexes below the first
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-}
-
 TEST(TelemetryWire, HistogramBucketIndexOutOfRangeRejected) {
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.hists[0].count += 1;
-  next.hists[0].buckets[7] = 0xDEADBEEFull;
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
-  // The lone changed bucket rides as [u16 idx=7][u64 0xDEADBEEF].
+  auto t = sampleTelemetry();
+  // Hist 0 lists buckets 3 and 40; the planted one is its last entry, so
+  // an index beyond the array still ascends and only the range check can
+  // reject it.
+  t.hists[0].buckets[77] = 0xDEADBEEFull;
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   const std::size_t at = findPattern(
-      delta, {7, 0, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0});
-  delta[at] = telemetry::kHistBuckets;  // idx beyond the bucket array
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+      bytes, {77, 0, 0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0});
+  bytes[at] = telemetry::kHistBuckets;  // idx beyond the bucket array
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 TEST(TelemetryWire, HistogramNonAscendingBucketIndexRejected) {
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.hists[0].count += 2;
-  next.hists[0].buckets[7] = 0x11223344ull;
-  next.hists[0].buckets[9] = 0x55667788ull;
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  auto t = sampleTelemetry();
+  // Hist 0 lists buckets 3, 7, 9 and 40.
+  t.hists[0].buckets[7] = 0x11223344ull;
+  t.hists[0].buckets[9] = 0x55667788ull;
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   const std::size_t at = findPattern(
-      delta, {9, 0, 0x88, 0x77, 0x66, 0x55, 0, 0, 0, 0});
-  delta[at] = 5;  // second entry now indexes below the first (7)
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[at] = 7;  // duplicate index: "strictly ascending" rejects too
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+      bytes, {9, 0, 0x88, 0x77, 0x66, 0x55, 0, 0, 0, 0});
+  bytes[at] = 5;  // the entry now indexes below the one before it (7)
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
+  bytes[at] = 7;  // duplicate index: "strictly ascending" rejects too
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 TEST(TelemetryWire, HistogramSetSizeMismatchRejected) {
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.hists[0].count = 0xABCD1234ull;  // distinctive scalar to anchor on
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  auto t = sampleTelemetry();
+  t.hists[0].count = 0xABCD1234ull;  // distinctive scalar to anchor on
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   // The hist block opens [u16 kCount] immediately before hist 0's count.
   const std::size_t at = findPattern(
-      delta, {telemetry::CbHistograms::kCount, 0, 0x34, 0x12, 0xCD, 0xAB, 0, 0,
+      bytes, {telemetry::CbHistograms::kCount, 0, 0x34, 0x12, 0xCD, 0xAB, 0, 0,
               0, 0});
-  delta[at] = telemetry::CbHistograms::kCount + 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[at] = telemetry::CbHistograms::kCount - 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-}
-
-TEST(TelemetryWire, HistogramDeltaAgainstWrongBaseDiverges) {
-  // A delta's sparse bucket list is only meaningful over its own keyframe;
-  // the seq check is what rejects a stale base outright (covered above).
-  // Here: decoding against the *right* base reproduces the buckets the
-  // encoder saw, bucket-exact.
-  const auto base = sampleTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.hists[2].buckets[42] += 11;
-  next.hists[2].count += 11;
-  const auto delta = telemetry::encodeTelemetryDelta(next, base);
-  const auto d = telemetry::decodeTelemetry(delta, &base);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->hists[2].buckets[42], base.hists[2].buckets[42] + 11);
-  EXPECT_EQ(d->hists[2].buckets[3], base.hists[2].buckets[3]);  // seeded
+  bytes[at] = telemetry::CbHistograms::kCount + 1;
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
+  bytes[at] = telemetry::CbHistograms::kCount - 1;
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 // ---- The tick-phase block ------------------------------------------------
-
-// sampleTelemetry() with the phase profiler on and distinct nonzero
-// content in every phase histogram.
-telemetry::NodeTelemetry samplePhasedTelemetry() {
-  auto t = sampleTelemetry();
-  t.phaseProfiling = true;
-  for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p) {
-    telemetry::HistogramSnapshot& s = t.phases[p];
-    s.count = 400 + p;
-    s.sum = 0.25 * static_cast<double>(p + 1);
-    s.min = 1e-6;
-    s.max = 0.01 + static_cast<double>(p) * 1e-3;
-    s.buckets[5] = 100 + p;
-    s.buckets[60 + p] = 200 + p;
-  }
-  return t;
-}
 
 TEST(TelemetryWire, PhaseBlockRoundTripsKeyframeAndDelta) {
   const auto base = samplePhasedTelemetry();
@@ -791,23 +704,6 @@ TEST(TelemetryWire, PhaseBlockRoundTripsKeyframeAndDelta) {
   expectTelemetryEq(*k, base);
   for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p)
     EXPECT_EQ(k->phases[p], base.phases[p])
-        << telemetry::TickPhaseHistograms::name(p);
-  // Peek reads a record that carries the phase flag.
-  const auto header = telemetry::peekTelemetryHeader(bytes);
-  ASSERT_TRUE(header.has_value());
-  EXPECT_EQ(header->node, base.node);
-
-  auto next = base;
-  next.seq = 18;
-  next.phases[1].count += 6;
-  next.phases[1].sum += 0.125;
-  next.phases[1].buckets[5] += 6;
-  const auto delta = telemetry::encodeTelemetryDelta(next, base);
-  const auto d = telemetry::decodeTelemetry(delta, &base);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->phaseProfiling);
-  for (std::size_t p = 0; p < telemetry::kTickPhaseCount; ++p)
-    EXPECT_EQ(d->phases[p], next.phases[p])
         << telemetry::TickPhaseHistograms::name(p);
 }
 
@@ -829,87 +725,76 @@ TEST(TelemetryWire, PhaseFlagMustMatchPhaseBlock) {
   auto blockOnly = phased;
   blockOnly[1] &= ~0x02;
   EXPECT_FALSE(telemetry::decodeTelemetry(blockOnly).has_value());
-  // Deltas carry the same flag beside the delta bit.
-  const auto base = samplePhasedTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.phases[1].count += 6;
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_EQ(delta[1], 0x03);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[1] = 0x01;
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+  // Bit 0x01 marked the retired delta encoding and is undefined now: a
+  // delta from an older publisher is rejected, with or without the phase
+  // flag, though the body after the header is a well-formed keyframe.
+  auto retiredDelta = plain;
+  retiredDelta[1] = 0x01;
+  EXPECT_FALSE(telemetry::decodeTelemetry(retiredDelta).has_value());
+  auto retiredPhasedDelta = phased;
+  retiredPhasedDelta[1] = 0x03;
+  EXPECT_FALSE(telemetry::decodeTelemetry(retiredPhasedDelta).has_value());
 }
 
 TEST(TelemetryWire, PhaseBucketIndexOutOfRangeRejected) {
-  const auto base = samplePhasedTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.phases[0].count += 1;
-  next.phases[0].buckets[11] = 0xFACEB00Cull;
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  auto t = samplePhasedTelemetry();
+  // Phase 0 lists buckets 5 and 60; the planted one is its last entry.
+  t.phases[0].buckets[81] = 0xFACEB00Cull;
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   const std::size_t at = findPattern(
-      delta, {11, 0, 0x0C, 0xB0, 0xCE, 0xFA, 0, 0, 0, 0});
-  delta[at] = telemetry::kHistBuckets;  // idx beyond the bucket array
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+      bytes, {81, 0, 0x0C, 0xB0, 0xCE, 0xFA, 0, 0, 0, 0});
+  bytes[at] = telemetry::kHistBuckets;  // idx beyond the bucket array
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 TEST(TelemetryWire, PhaseNonAscendingBucketIndexRejected) {
-  const auto base = samplePhasedTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.phases[2].count += 2;
-  next.phases[2].buckets[11] = 0x31415926ull;
-  next.phases[2].buckets[13] = 0x27182818ull;
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  auto t = samplePhasedTelemetry();
+  // Phase 2 lists buckets 5, 11, 13 and 62.
+  t.phases[2].buckets[11] = 0x31415926ull;
+  t.phases[2].buckets[13] = 0x27182818ull;
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   const std::size_t at = findPattern(
-      delta, {13, 0, 0x18, 0x28, 0x18, 0x27, 0, 0, 0, 0});
-  delta[at] = 9;  // second entry now indexes below the first (11)
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[at] = 11;  // duplicate index: "strictly ascending" rejects too
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+      bytes, {13, 0, 0x18, 0x28, 0x18, 0x27, 0, 0, 0, 0});
+  bytes[at] = 9;  // the entry now indexes below the one before it (11)
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
+  bytes[at] = 11;  // duplicate index: "strictly ascending" rejects too
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 TEST(TelemetryWire, PhaseSetSizeMismatchRejected) {
-  const auto base = samplePhasedTelemetry();
-  auto next = base;
-  next.seq = 18;
-  next.phases[0].count = 0x1234DCBAull;  // distinctive scalar to anchor on
-  auto delta = telemetry::encodeTelemetryDelta(next, base);
-  ASSERT_TRUE(telemetry::decodeTelemetry(delta, &base).has_value());
+  auto t = samplePhasedTelemetry();
+  t.phases[0].count = 0x1234DCBAull;  // distinctive scalar to anchor on
+  auto bytes = telemetry::encodeTelemetry(t);
+  ASSERT_TRUE(telemetry::decodeTelemetry(bytes).has_value());
   // The phase block opens [u16 kTickPhaseCount] right before phase 0's
   // count scalar.
   const std::size_t at = findPattern(
-      delta, {telemetry::kTickPhaseCount, 0, 0xBA, 0xDC, 0x34, 0x12, 0, 0,
+      bytes, {telemetry::kTickPhaseCount, 0, 0xBA, 0xDC, 0x34, 0x12, 0, 0,
               0, 0});
-  delta[at] = telemetry::kTickPhaseCount + 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
-  delta[at] = telemetry::kTickPhaseCount - 1;
-  EXPECT_FALSE(telemetry::decodeTelemetry(delta, &base).has_value());
+  bytes[at] = telemetry::kTickPhaseCount + 1;
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
+  bytes[at] = telemetry::kTickPhaseCount - 1;
+  EXPECT_FALSE(telemetry::decodeTelemetry(bytes).has_value());
 }
 
 TEST(TelemetryWire, RetiredVersionsRejected) {
   // Only version 8 decodes. Versions 4 and 5 (phase block implied by the
   // version byte), 6 (a threaded network engine's counters) and 7 (four
-  // flow-control counters) are retired: neither the decoder nor the
-  // header peek accepts them, with or without the phase flag, whatever
-  // body follows.
+  // flow-control counters) are retired: the decoder accepts none of them,
+  // with or without the phase flag, whatever body follows.
   EXPECT_EQ(telemetry::kTelemetryVersion, 8);
   const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
   const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
   for (auto rec : {plain, phased}) {
     ASSERT_EQ(rec[0], telemetry::kTelemetryVersion);
     EXPECT_TRUE(telemetry::decodeTelemetry(rec).has_value()) << +rec[1];
-    EXPECT_TRUE(telemetry::peekTelemetryHeader(rec).has_value()) << +rec[1];
     for (const std::uint8_t version : {4, 5, 6, 7}) {
       for (const std::uint8_t flags : {0x00, 0x02}) {
         rec[0] = version;
         rec[1] = flags;
         EXPECT_FALSE(telemetry::decodeTelemetry(rec).has_value())
-            << +version << " " << +flags;
-        EXPECT_FALSE(telemetry::peekTelemetryHeader(rec).has_value())
             << +version << " " << +flags;
       }
     }
@@ -927,6 +812,116 @@ TEST(TelemetryWire, CounterTableIsStable) {
   EXPECT_STREQ(telemetry::counterName(12), "reliable.framesBuffered");
   EXPECT_STREQ(telemetry::counterName(telemetry::counterCount() - 1),
                "transport.framesDropped");
+}
+
+/// 64-bit FNV-1a over one encoded record.
+std::uint64_t recordDigest(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(TelemetryWire, KeyframeBytesArePinned) {
+  // Digests of the two samples as the delta-capable encoder wrote them,
+  // before the delta encoding was retired: a keyframe's bytes did not
+  // change, so monitors and archives on either side of that change read
+  // each other's records.
+  const auto plain = telemetry::encodeTelemetry(sampleTelemetry());
+  const auto phased = telemetry::encodeTelemetry(samplePhasedTelemetry());
+  EXPECT_EQ(plain.size(), 746u);
+  EXPECT_EQ(recordDigest(plain), 11950171880428853045ull);
+  EXPECT_EQ(phased.size(), 1018u);
+  EXPECT_EQ(recordDigest(phased), 15798221100679773611ull);
+}
+
+TEST(TelemetryFuzz, MutatedKeyframesDecodeOrRejectCleanly) {
+  // Seeded mutations of the plain and phased samples: flipped bytes,
+  // overwritten u16 counts, truncations and appended tails. A mutant
+  // that decodes must re-encode canonically; one that does not must be
+  // dropped by a monitor whole, counted once and naming no node.
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  const auto next = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  const std::array<std::vector<std::uint8_t>, 2> samples{
+      telemetry::encodeTelemetry(sampleTelemetry()),
+      telemetry::encodeTelemetry(samplePhasedTelemetry())};
+  // Every u16 that reads like a count (1–255): each block's count and
+  // each histogram's bucket-list length among them.
+  std::array<std::vector<std::size_t>, 2> countAt;
+  for (std::size_t k = 0; k < samples.size(); ++k)
+    for (std::size_t i = 0; i + 1 < samples[k].size(); ++i)
+      if (samples[k][i] != 0 && samples[k][i + 1] == 0)
+        countAt[k].push_back(i);
+
+  telemetry::HealthMonitor monitor;
+  AttributeSet seed;
+  seed.set(telemetry::kTelemetryAttr, samples[0]);
+  monitor.reflectAttributeValues(telemetry::kTelemetryClass, seed, 0.0);
+  ASSERT_EQ(monitor.nodeCount(), 1u);
+
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 10000; ++iter) {
+    const std::size_t k = static_cast<std::size_t>(iter) % samples.size();
+    auto bytes = samples[k];
+    switch (next() % 4) {
+      case 0: {
+        const std::size_t flips = 1 + next() % 4;
+        for (std::size_t i = 0; i < flips; ++i)
+          bytes[next() % bytes.size()] ^=
+              static_cast<std::uint8_t>(1 + next() % 255);
+        break;
+      }
+      case 1: {
+        const std::size_t at = countAt[k][next() % countAt[k].size()];
+        const std::uint16_t was = bytes[at];
+        const std::array<std::uint16_t, 6> values{
+            0, 1, static_cast<std::uint16_t>(was - 1),
+            static_cast<std::uint16_t>(was + 1), 0xFFFF,
+            static_cast<std::uint16_t>(next())};
+        const std::uint16_t v = values[next() % values.size()];
+        bytes[at] = static_cast<std::uint8_t>(v & 0xFF);
+        bytes[at + 1] = static_cast<std::uint8_t>(v >> 8);
+        break;
+      }
+      case 2:
+        bytes.resize(next() % bytes.size());
+        break;
+      default: {
+        const std::size_t len = 1 + next() % 16;
+        for (std::size_t i = 0; i < len; ++i)
+          bytes.push_back(static_cast<std::uint8_t>(next() & 0xFF));
+        break;
+      }
+    }
+    if (const auto d = telemetry::decodeTelemetry(bytes)) {
+      ++decoded;
+      const auto e = telemetry::encodeTelemetry(*d);
+      const auto again = telemetry::decodeTelemetry(e);
+      ASSERT_TRUE(again.has_value()) << "iter=" << iter;
+      ASSERT_EQ(telemetry::encodeTelemetry(*again), e) << "iter=" << iter;
+      continue;
+    }
+    ++rejected;
+    const std::uint64_t dropped = monitor.undecodableDropped();
+    AttributeSet attrs;
+    attrs.set(telemetry::kTelemetryAttr, bytes);
+    monitor.reflectAttributeValues(telemetry::kTelemetryClass, attrs, 1.0);
+    ASSERT_EQ(monitor.undecodableDropped(), dropped + 1) << "iter=" << iter;
+    ASSERT_EQ(monitor.nodeCount(), 1u) << "iter=" << iter;
+  }
+  // Both outcomes were exercised, and no rejected mutant touched the row.
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_EQ(monitor.node("dynamics")->snapshotsApplied, 1u);
+  EXPECT_TRUE(monitor.alarms().empty());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Telemetry subsystem suite: StatRegistry snapshots, TelemetryPublisher
-// cadence/keyframes, HealthMonitor aggregation (staleness, alarms, rate
+// cadence, HealthMonitor aggregation (staleness, alarms, rate
 // derivation) on lossy 3-node SimNetwork clusters, the 4-node acceptance
 // scenario, and the off-switch wire-identity guarantee.
 //
@@ -126,34 +126,29 @@ TEST(TelemetryPublisher, CadenceAndKeyframeSchedule) {
   auto& cbB = cluster.addComputer("bravo");
   TelemetryConfig cfg;
   cfg.intervalSec = 0.5;
-  cfg.keyframeInterval = 3;
   TelemetryPublisher pub(cfg);
   pub.bind(cbA);
   HealthMonitor monitor;
   monitor.bind(cbB);
   cluster.step(10.0);
 
-  // ~20 snapshots at 0.5 s cadence, every third a keyframe.
+  // ~20 snapshots at 0.5 s cadence.
   EXPECT_GE(pub.snapshotsPublished(), 18u);
   EXPECT_LE(pub.snapshotsPublished(), 22u);
-  EXPECT_GE(pub.keyframesPublished(), pub.snapshotsPublished() / 3);
-  EXPECT_LT(pub.keyframesPublished(), pub.snapshotsPublished());
 
   const NodeHealth* h = monitor.node("alpha");
   ASSERT_NE(h, nullptr);
   // A clean LAN: everything applies except the first snapshot, published
-  // before discovery wired the channel (the publisher then re-keyframes
-  // for the new subscriber, so no deltas are orphaned).
+  // before discovery wired the channel.
   EXPECT_GE(h->snapshotsApplied, pub.snapshotsPublished() - 2);
-  EXPECT_LE(h->deltasRejected, 1u);
   EXPECT_FALSE(h->silent);
   EXPECT_EQ(h->last.seq, pub.snapshotsPublished());
   EXPECT_TRUE(monitor.alarms().empty());
 }
 
 /// A subscriber *swap* between publishes (one monitor leaves, another
-/// joins; net fan-out unchanged) must still force a keyframe — otherwise
-/// the newcomer rejects deltas until the schedule's next keyframe.
+/// joins; net fan-out unchanged): the newcomer must apply the first
+/// record it hears, with nothing earlier to decode it against.
 TEST(TelemetryPublisher, SubscriberSwapForcesKeyframe) {
   net::SimNetwork net(7);
   const net::HostId hA = net.addHost("A");
@@ -162,7 +157,6 @@ TEST(TelemetryPublisher, SubscriberSwapForcesKeyframe) {
   core::CommunicationBackbone cbA("alpha", net.bind(hA, 1));
   TelemetryConfig tcfg;
   tcfg.intervalSec = 5.0;
-  tcfg.keyframeInterval = 100;  // the schedule will not save the newcomer
   TelemetryPublisher pub(tcfg);
   pub.bind(cbA);
   std::optional<core::CommunicationBackbone> cbB;
@@ -183,7 +177,7 @@ TEST(TelemetryPublisher, SubscriberSwapForcesKeyframe) {
       if (cbC) cbC->tick(net.now());
     }
   };
-  // Publish #1 lands before discovery, #2 (t≈5) re-keyframes for bravo.
+  // Publish #1 lands before discovery, #2 (t≈5) reaches bravo.
   run(7.0);
   ASSERT_NE(monB->node("alpha"), nullptr);
   ASSERT_GE(monB->node("alpha")->snapshotsApplied, 1u);
@@ -196,8 +190,8 @@ TEST(TelemetryPublisher, SubscriberSwapForcesKeyframe) {
   monB.reset();
   cbB.reset();
   run(9.5);
-  // Publish #3 (t≈10): same net fan-out, but the established-channel
-  // counter grew — the publisher must emit a keyframe charlie can use.
+  // Publish #3 (t≈10), at the same net fan-out, is the first record
+  // charlie hears, and it applies on its own.
   run(12.0);
   const NodeHealth* h = monC->node("alpha");
   ASSERT_NE(h, nullptr);
@@ -604,46 +598,31 @@ TEST_F(MonitorUnit, GarbageAndNonBlobRecordsCounted) {
   EXPECT_EQ(monitor.nodeCount(), 0u);
 }
 
-TEST_F(MonitorUnit, CorruptDeltaWithHeldBaseCountsAsCorruption) {
-  NodeTelemetry base = record(1, 0.0);
-  feed(base);
-  NodeTelemetry next = record(2, 1.0);
-  next.cb.updatesSent = 42;
-  auto bytes = encodeTelemetryDelta(next, base);
-  bytes.pop_back();  // header intact, base held — but the body is mangled
-  monitor.reflectAttributeValues(kTelemetryClass, wrap(bytes), 1.0);
-  // Corruption, not "lost their keyframe": the operator-facing counters
-  // must not point diagnosis at packet loss.
-  EXPECT_EQ(monitor.undecodableDropped(), 1u);
+TEST_F(MonitorUnit, UndecodableRecordFromKnownNodeLeavesItsRow) {
+  NodeTelemetry first = record(1, 0.0);
+  first.cb.updatesSent = 10;
+  feed(first);
+  monitor.step(1.0);
+  // The node's next record arrives twice: once truncated, and once with
+  // the retired delta flag. Both are dropped whole and counted; neither
+  // names a node, so neither refreshes the row or creates one.
+  NodeTelemetry second = record(2, 1.0);
+  second.cb.updatesSent = 20;
+  const std::vector<std::uint8_t> bytes = encodeTelemetry(second);
+  const std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 1);
+  std::vector<std::uint8_t> retiredFlag = bytes;
+  retiredFlag[1] = 0x01;
+  for (const auto& bad : {truncated, retiredFlag})
+    monitor.reflectAttributeValues(kTelemetryClass, wrap(bad), 1.0);
+  EXPECT_EQ(monitor.undecodableDropped(), 2u);
+  EXPECT_EQ(monitor.nodeCount(), 1u);
   const NodeHealth* h = monitor.node("unit");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->deltasRejected, 0u);
   EXPECT_EQ(h->last.seq, 1u);
-}
-
-TEST_F(MonitorUnit, DeltaWithLostKeyframeRefreshesLivenessOnly) {
-  NodeTelemetry base = record(1, 0.0);
-  base.cb.updatesSent = 10;
-  feed(base);
-  // The keyframe for seq 2 was "lost": a delta against it cannot apply.
-  NodeTelemetry missedKeyframe = record(2, 1.0);
-  missedKeyframe.cb.updatesSent = 20;
-  NodeTelemetry delta = record(3, 2.0);
-  delta.cb.updatesSent = 30;
-  monitor.reflectAttributeValues(
-      kTelemetryClass, wrap(encodeTelemetryDelta(delta, missedKeyframe)), 2.0);
-  const NodeHealth* h = monitor.node("unit");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->deltasRejected, 1u);
-  EXPECT_EQ(h->last.cb.updatesSent, 10u);  // not guessed
-  // A delta against the keyframe we *do* hold applies.
-  NodeTelemetry delta2 = record(4, 3.0);
-  delta2.cb.updatesSent = 40;
-  monitor.reflectAttributeValues(kTelemetryClass,
-                                 wrap(encodeTelemetryDelta(delta2, base)), 3.0);
-  h = monitor.node("unit");
-  EXPECT_EQ(h->last.cb.updatesSent, 40u);
-  EXPECT_EQ(h->last.seq, 4u);
+  EXPECT_EQ(h->last.cb.updatesSent, 10u);
+  EXPECT_EQ(h->snapshotsApplied, 1u);
+  EXPECT_EQ(h->lastHeardSec, 0.0);
+  EXPECT_TRUE(monitor.alarms().empty());
 }
 
 /// Staleness and alarms on a lossy 3-node SimNetwork — the ISSUE's soak
@@ -663,7 +642,6 @@ TEST(HealthMonitorSoak, SilentNodeFlaggedAndRecoveredUnderLoss) {
   sink.bind(cbC);
   TelemetryConfig tcfg;
   tcfg.intervalSec = 0.25;
-  tcfg.keyframeInterval = 4;
   std::vector<std::unique_ptr<TelemetryPublisher>> pubs;
   for (auto* cb : {&cbA, &cbB, &cbC}) {
     pubs.push_back(std::make_unique<TelemetryPublisher>(tcfg));

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "net/wire.hpp"
 #include "telemetry/node_telemetry.hpp"
 
 namespace cod::telemetry {
@@ -74,13 +75,12 @@ TEST(TelemetryArchive, AllRecordTypesRoundTrip) {
     ar.appendSnapshot(sampleSnapshot(1), 0.5);
     ar.appendAlarm(3, 2, 0.9, "dyn", "latency p99 1200ms", 1.0);
     ar.appendTraceDumpMarker("out/dyn.trace.json", 1.5);
-    ar.appendLivenessPing("dyn", 2.0);
-    EXPECT_EQ(ar.recordsWritten(), 4u);
+    EXPECT_EQ(ar.recordsWritten(), 3u);
     EXPECT_GT(ar.bytesWritten(), 0u);
   }
   ArchiveReader rd(sp.path);
   const auto recs = rd.readAll();
-  ASSERT_EQ(recs.size(), 4u);
+  ASSERT_EQ(recs.size(), 3u);
   EXPECT_EQ(rd.recordsSkipped(), 0u);
   EXPECT_EQ(rd.tornTails(), 0u);
 
@@ -101,10 +101,7 @@ TEST(TelemetryArchive, AllRecordTypesRoundTrip) {
 
   EXPECT_EQ(recs[2].type, ArchiveRecordType::kTraceDumpMarker);
   EXPECT_EQ(recs[2].text, "out/dyn.trace.json");
-
-  EXPECT_EQ(recs[3].type, ArchiveRecordType::kLivenessPing);
-  EXPECT_EQ(recs[3].node, "dyn");
-  EXPECT_EQ(recs[3].monoSec, 2.0);
+  EXPECT_EQ(recs[2].monoSec, 1.5);
 }
 
 TEST(TelemetryArchive, TornTailAtEveryByteOffsetIsACleanStop) {
@@ -188,13 +185,33 @@ TEST(TelemetryArchive, UnknownRecordTypeIsSkippedForForwardCompat) {
     rec.monoSec = 1.0;
     rec.wallSec = 2.0;
     ar.append(rec);
-    ar.appendLivenessPing("dyn", 3.0);
   }
+  // Type 4 is retired: a liveness ping as older writers framed it,
+  // [u8 4][f64 mono][f64 wall][str node], then a record this reader knows.
+  auto bytes = fileBytes(sp.path);
+  const auto appendFrame = [&bytes](std::uint8_t type, const std::string& s) {
+    net::WireWriter payload;
+    payload.u8(type);
+    payload.f64(3.0);
+    payload.f64(4.0);
+    payload.str(s);
+    net::WireWriter frame;
+    frame.u32(static_cast<std::uint32_t>(payload.size()));
+    frame.u32(crc32(payload.bytes()));
+    frame.raw(payload.bytes());
+    bytes.insert(bytes.end(), frame.bytes().begin(), frame.bytes().end());
+  };
+  appendFrame(4, "dyn");
+  appendFrame(static_cast<std::uint8_t>(ArchiveRecordType::kTraceDumpMarker),
+              "out/dyn.trace.json");
+  writeBytes(sp.path, bytes);
   ArchiveReader rd(sp.path);
   const auto recs = rd.readAll();
   ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0].type, ArchiveRecordType::kLivenessPing);
-  EXPECT_EQ(rd.recordsSkipped(), 1u);
+  EXPECT_EQ(recs[0].type, ArchiveRecordType::kTraceDumpMarker);
+  EXPECT_EQ(recs[0].text, "out/dyn.trace.json");
+  EXPECT_EQ(rd.recordsSkipped(), 2u);
+  EXPECT_EQ(rd.tornTails(), 0u);
 }
 
 TEST(TelemetryArchive, RotationKeepsNewestBoundsDiskAndReadsInOrder) {
@@ -258,7 +275,7 @@ TEST(TelemetryArchive, UnwritablePathDegradesToNoOps) {
   TelemetryArchive ar(cfg);
   EXPECT_FALSE(ar.ok());
   ar.appendSnapshot(sampleSnapshot(1), 1.0);  // must not crash
-  ar.appendLivenessPing("dyn", 2.0);
+  ar.appendTraceDumpMarker("out/dyn.trace.json", 2.0);
   EXPECT_EQ(ar.recordsWritten(), 0u);
 }
 

@@ -2,10 +2,9 @@
 // flight-data recorder, src/telemetry/archive.hpp).
 //
 // The archive holds everything the live HealthMonitor saw: every applied
-// snapshot (re-encoded as a keyframe), every alarm edge, liveness pings
-// and flight-dump markers, all stamped with the monitor's own monotonic
-// clock. This tool answers the post-mortem questions a failed soak (or a
-// failed training session) leaves behind:
+// snapshot, every alarm edge and flight-dump marker, all stamped with the
+// monitor's own monotonic clock. This tool answers the post-mortem
+// questions a failed soak (or a failed training session) leaves behind:
 //
 //   cod_inspect --archive=run.archive                      summary
 //   cod_inspect --archive=run.archive --timeline           alarm timeline
@@ -84,8 +83,6 @@ struct Loaded {
           break;
         case ArchiveRecordType::kTraceDumpMarker:
           dumps.push_back(&rec);
-          break;
-        case ArchiveRecordType::kLivenessPing:
           break;
       }
     }
@@ -328,8 +325,6 @@ bool replay(const Loaded& a, const soak::Args& args) {
       attrs.set(telemetry::kTelemetryAttr, core::AttributeValue(rec.snapshot));
       mon.reflectAttributeValues(telemetry::kTelemetryClass, attrs,
                                  rec.monoSec);
-    } else if (rec.type == ArchiveRecordType::kLivenessPing) {
-      mon.noteLiveness(rec.node);
     }
   }
 

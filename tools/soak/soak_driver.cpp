@@ -88,8 +88,7 @@ using soak::wallSec;
 const std::vector<std::string> kPassThroughFlags = {
     "dup", "reorder", "delay-ms", "jitter-ms", "seed", "probe-hz", "quiesce",
     "telemetry-interval", "silent-after", "channel-timeout", "ack-interval",
-    "mass-hz", "keyframe-interval", "bind-ip", "host-ips", "trace-sample",
-    "phase-profile"};
+    "mass-hz", "bind-ip", "host-ips", "trace-sample", "phase-profile"};
 
 struct NodeSpec {
   std::string name;

@@ -227,12 +227,11 @@ int run(int argc, char** argv) {
       argc, argv,
       {"ack-interval", "archive", "base-port", "bind-ip", "cb-port",
        "channel-timeout", "delay-ms", "display-channel", "dup", "duration",
-       "host", "host-ips", "impair-rx", "jitter-ms",
-       "keyframe-interval", "loss", "mass-classes", "mass-hz", "mass-index",
-       "mass-nodes", "max-hosts", "monitor", "name", "peers", "phase-profile",
-       "ports-per-host", "probe-hz", "quiesce", "reorder", "report", "role",
-       "seed", "silent-after", "telemetry-interval", "trace-dump",
-       "trace-sample"});
+       "host", "host-ips", "impair-rx", "jitter-ms", "loss", "mass-classes",
+       "mass-hz", "mass-index", "mass-nodes", "max-hosts", "monitor", "name",
+       "peers", "phase-profile", "ports-per-host", "probe-hz", "quiesce",
+       "reorder", "report", "role", "seed", "silent-after",
+       "telemetry-interval", "trace-dump", "trace-sample"});
   const std::string name = args.required("name");
   const std::string role = args.required("role");
   const std::string reportPath = args.required("report");
@@ -395,8 +394,6 @@ int run(int argc, char** argv) {
   }
   telemetry::TelemetryConfig tcfg;
   tcfg.intervalSec = args.num("telemetry-interval", 1.0);
-  tcfg.keyframeInterval =
-      static_cast<std::uint32_t>(args.integer("keyframe-interval", 10));
   telemetry::TelemetryPublisher tpub(tcfg);
   tpub.bind(cb);
 
@@ -424,10 +421,9 @@ int run(int argc, char** argv) {
   std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> monPeak;
   double nextMonSample = 0.0;
   // The closing counters must reach the monitor host before this process
-  // stops ticking: force one final KEYFRAME out shortly before the end
-  // (a teardown delta would be undecodable by a monitor that lost its
-  // base, and no later snapshot would ever heal it). 0.75 s leaves the
-  // datagram a real chance to land and be applied while peers still tick.
+  // stops ticking: force one final snapshot out shortly before the end.
+  // 0.75 s leaves the datagram a real chance to land and be applied while
+  // peers still tick.
   const double finalSnapshotAt = duration - 0.75;
   bool finalSnapshotSent = false;
   while ((now = wallSec()) < duration) {
