@@ -97,141 +97,63 @@ void CommunicationBackbone::stageSend(const net::NodeAddr& dst,
   stageSend(batchSlotFor(dst), frame);
 }
 
-std::uint32_t CommunicationBackbone::arenaAppend(
-    std::span<const std::uint8_t> frame) {
-  // Recycle only when no staged descriptor references the arena anymore:
-  // a budget flush in the middle of a fan-out may have emptied every slot
-  // while the fan-out's shared chunk is still about to be staged to more
-  // channels, and THAT is guarded by the fan-out not appending between
-  // channels.
-  if (stagedFrameCount_ == 0) stageArena_.clear();
-  const std::uint32_t off = static_cast<std::uint32_t>(stageArena_.size());
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  stageArena_.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  stageArena_.push_back(static_cast<std::uint8_t>((len >> 8) & 0xFF));
-  stageArena_.push_back(static_cast<std::uint8_t>((len >> 16) & 0xFF));
-  stageArena_.push_back(static_cast<std::uint8_t>((len >> 24) & 0xFF));
-  stageArena_.insert(stageArena_.end(), frame.begin(), frame.end());
-  return off;
-}
-
-void CommunicationBackbone::sendBare(const net::NodeAddr& addr,
-                                     const StagedFrame& f) {
-  const std::uint8_t* base =
-      stageArena_.data() + f.off + kBatchFramePrefixBytes;
-  if (!f.patched) {
-    transport_->send(addr, {base, f.len});
-    return;
-  }
-  // [type u8][channel id u32 @1][rest]: three spans swap in the id
-  // without touching the shared frame bytes. sendv consumes the spans
-  // before returning, so arena growth afterwards is harmless.
-  const net::ByteSpan parts[3] = {
-      {base, 1}, {f.chanLe, 4}, {base + 5, f.len - 5}};
-  transport_->sendv(addr, parts);
-}
-
-void CommunicationBackbone::stageFrame(PeerBatch& b, const StagedFrame& f) {
+void CommunicationBackbone::stageSend(std::uint32_t slot,
+                                      std::span<const std::uint8_t> frame) {
   // Staging itself is not recorded per frame — the flush event carries
   // the frame count, and a per-frame instant here would be the single
   // largest event source in a busy mesh (3+ per tick).
-  if (!b.empty() && (b.sizeWith(f.len) > kBatchByteBudget ||
-                     b.frames.size() >= kBatchMaxFrames)) {
+  PeerBatch& b = peerBatches_[slot];
+  if (!b.empty() && b.sizeWith(frame.size()) > kBatchByteBudget) {
     ++stats_.batch.budgetFlushes;
     flushSlot(b);
   }
-  if (b.empty() && b.sizeWith(f.len) > kBatchByteBudget) {
+  if (b.empty() && b.sizeWith(frame.size()) > kBatchByteBudget) {
     // Even alone this frame busts the budget: bypass the container (the
     // bare frame is wire-compatible; the transport fragments if it must).
-    sendBare(b.addr, f);
+    transport_->send(b.addr, frame);
     ++stats_.batch.oversizeSends;
-    hists_.flushBytes.record(static_cast<double>(f.len));
+    hists_.flushBytes.record(static_cast<double>(frame.size()));
     if (tracing())
-      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0, f.len);
+      traceEvent(telemetry::TraceEventKind::kDatagramSend, now_, 0.0,
+                 frame.size());
     return;
   }
-  b.stagedBytes = (b.frames.empty() ? kBatchHeaderBytes : b.stagedBytes) +
-                  kBatchFramePrefixBytes + f.len;
-  b.frames.push_back(f);
-  ++stagedFrameCount_;
-}
-
-void CommunicationBackbone::stageSend(std::uint32_t slot,
-                                      std::span<const std::uint8_t> frame) {
-  StagedFrame f;
-  f.off = arenaAppend(frame);
-  f.len = static_cast<std::uint32_t>(frame.size());
-  stageFrame(peerBatches_[slot], f);
-}
-
-void CommunicationBackbone::stagePatched(std::uint32_t slot, std::uint32_t off,
-                                         std::uint32_t len,
-                                         std::uint32_t channelId) {
-  // The update fan-out's per-channel path: the frame bytes are already in
-  // the arena (appended once for the whole fan-out) and only the 4
-  // channel-id bytes differ — staging a channel costs a 16-byte
-  // descriptor, not a frame copy.
-  StagedFrame f;
-  f.off = off;
-  f.len = len;
-  f.chanLe[0] = static_cast<std::uint8_t>(channelId & 0xFF);
-  f.chanLe[1] = static_cast<std::uint8_t>((channelId >> 8) & 0xFF);
-  f.chanLe[2] = static_cast<std::uint8_t>((channelId >> 16) & 0xFF);
-  f.chanLe[3] = static_cast<std::uint8_t>((channelId >> 24) & 0xFF);
-  f.patched = true;
-  stageFrame(peerBatches_[slot], f);
+  const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
+  const std::uint8_t prefix[kBatchFramePrefixBytes] = {
+      static_cast<std::uint8_t>(len & 0xFF),
+      static_cast<std::uint8_t>((len >> 8) & 0xFF),
+      static_cast<std::uint8_t>((len >> 16) & 0xFF),
+      static_cast<std::uint8_t>((len >> 24) & 0xFF)};
+  b.container.insert(b.container.end(), prefix, prefix + sizeof(prefix));
+  b.container.insert(b.container.end(), frame.begin(), frame.end());
+  ++b.frames;
 }
 
 void CommunicationBackbone::flushSlot(PeerBatch& b) {
   if (b.empty()) return;
-  const std::size_t frames = b.frames.size();
-  const std::uint8_t* arena = stageArena_.data();
-  std::size_t sentBytes;
+  const std::uint16_t frames = b.frames;
+  std::span<const std::uint8_t> datagram = b.container;
   if (frames == 1) {
     // A one-frame container is pure overhead: a lone message leaves as
     // its bare frame.
-    sendBare(b.addr, b.frames.front());
+    datagram = datagram.subspan(kBatchHeaderBytes + kBatchFramePrefixBytes);
     ++stats_.batch.soloFlushes;
-    sentBytes = b.frames.front().len;
   } else {
-    // Scatter-gather container: stack header + one span per unpatched
-    // frame ([len][frame] is already contiguous in the arena), three per
-    // patched frame. No staging copy happens on this path at all — the
-    // bytes go from the arena to the transport.
-    const std::uint8_t hdr[kBatchHeaderBytes] = {
-        static_cast<std::uint8_t>(MsgType::kBatch),
-        static_cast<std::uint8_t>(frames & 0xFF),
-        static_cast<std::uint8_t>((frames >> 8) & 0xFF)};
-    iovScratch_.clear();
-    iovScratch_.emplace_back(hdr, kBatchHeaderBytes);
-    std::size_t size = kBatchHeaderBytes;
-    for (const StagedFrame& f : b.frames) {
-      if (!f.patched) {
-        iovScratch_.emplace_back(arena + f.off,
-                                 kBatchFramePrefixBytes + f.len);
-      } else {
-        iovScratch_.emplace_back(arena + f.off, kBatchFramePrefixBytes + 1);
-        iovScratch_.emplace_back(f.chanLe, 4);
-        iovScratch_.emplace_back(arena + f.off + kBatchFramePrefixBytes + 5,
-                                 f.len - 5);
-      }
-      size += kBatchFramePrefixBytes + f.len;
-    }
-    transport_->sendv(b.addr, iovScratch_);
+    b.container[1] = static_cast<std::uint8_t>(frames & 0xFF);
+    b.container[2] = static_cast<std::uint8_t>((frames >> 8) & 0xFF);
     ++stats_.batch.datagramsCoalesced;
     stats_.batch.framesCoalesced += frames;
-    stats_.batch.containerBytesSent += size;
-    sentBytes = size;
+    stats_.batch.containerBytesSent += datagram.size();
   }
-  hists_.flushBytes.record(static_cast<double>(sentBytes));
+  transport_->send(b.addr, datagram);
+  hists_.flushBytes.record(static_cast<double>(datagram.size()));
   // One event per container: the flush IS the datagram send (bytes +
   // frame count); a paired kDatagramSend would double the volume.
   if (tracing())
-    traceEvent(telemetry::TraceEventKind::kBatchFlush, now_, 0.0, sentBytes,
-               frames);
-  stagedFrameCount_ -= frames;
-  b.frames.clear();
-  b.stagedBytes = 0;
+    traceEvent(telemetry::TraceEventKind::kBatchFlush, now_, 0.0,
+               datagram.size(), frames);
+  b.container.resize(kBatchHeaderBytes);
+  b.frames = 0;
 }
 
 void CommunicationBackbone::flushBatches() {

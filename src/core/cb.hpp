@@ -434,22 +434,6 @@ class CommunicationBackbone {
       std::unordered_map<std::string, std::vector<std::uint32_t>>& index,
       const std::string& className, std::uint32_t handle);
 
-  /// One frame staged for a peer, as a descriptor into the shared staging
-  /// arena (`stageArena_`) rather than bytes of its own. The arena entry
-  /// is `[u32 len LE][frame bytes]` at `off` — already in kBatch
-  /// sub-frame framing, so an unpatched frame flushes as ONE iovec span
-  /// with no per-frame staging copy. A `patched` entry is the update
-  /// fan-out's zero-copy channel-id rewrite: the frame bytes are shared
-  /// by every channel of the fan-out and `chanLe` overrides the 4 id
-  /// bytes at frame offset 1 at flush time (three spans: length prefix +
-  /// type byte, the id, the rest).
-  struct StagedFrame {
-    std::uint32_t off = 0;  // arena offset of [u32 len][frame]
-    std::uint32_t len = 0;  // frame bytes (excluding the u32 prefix)
-    std::uint8_t chanLe[4] = {0, 0, 0, 0};
-    bool patched = false;
-  };
-
   /// One staging buffer per live remote endpoint. A slot stays pinned
   /// while any channel caches its index (`channelRefs`); channel teardown
   /// releases the pin and an unpinned slot is reclaimed to a free list
@@ -459,17 +443,20 @@ class CommunicationBackbone {
   /// can never watch its slot be re-issued to a different peer.
   struct PeerBatch {
     net::NodeAddr addr;
-    std::vector<StagedFrame> frames;
-    /// Container size if flushed now: kBatchHeaderBytes + Σ(4 + len).
-    /// 0 when empty.
-    std::size_t stagedBytes = 0;
+    /// The kBatch container as it is built: the `[u8 10][u16 count]`
+    /// header, whose count is written at flush, then `[u32 len][frame]`
+    /// per staged frame. A flush cuts it back to the header and keeps its
+    /// capacity; the byte budget caps it at one container.
+    std::vector<std::uint8_t> container = {
+        static_cast<std::uint8_t>(MsgType::kBatch), 0, 0};
+    std::uint16_t frames = 0;       // frames staged in `container`
     std::uint32_t channelRefs = 0;  // live channels caching this index
     bool active = false;            // false: parked on the free list
 
-    bool empty() const { return frames.empty(); }
+    bool empty() const { return frames == 0; }
+    /// Container size if a `frameSize`-byte frame were staged now.
     std::size_t sizeWith(std::size_t frameSize) const {
-      return (frames.empty() ? kBatchHeaderBytes : stagedBytes) +
-             kBatchFramePrefixBytes + frameSize;
+      return container.size() + kBatchFramePrefixBytes + frameSize;
     }
   };
 
@@ -484,7 +471,10 @@ class CommunicationBackbone {
   void releaseBatchSlot(std::uint32_t slot);
   /// Park an unpinned, empty, active slot on the free list.
   void reclaimSlotIfIdle(std::uint32_t slot);
-  /// Stage one encoded frame for `dst` (copied into the staging arena).
+  /// Stage one encoded frame for `dst`: the one staging decision. Flush
+  /// the peer's container early if `frame` would push it past
+  /// kBatchByteBudget, send `frame` bare if even alone it busts the
+  /// budget, else copy it into the container.
   void stageSend(const net::NodeAddr& dst, std::span<const std::uint8_t> frame);
   void stageSend(std::uint32_t slot, std::span<const std::uint8_t> frame);
   /// Stage through a channel's cached slot (resolving and pinning it on
@@ -495,29 +485,8 @@ class CommunicationBackbone {
       ch.batchSlot = acquireBatchSlot(ch.remote);
     stageSend(ch.batchSlot, frame);
   }
-  /// Append `[u32 len][frame]` to the staging arena, returning its offset
-  /// (offsets stay valid across arena growth; the arena is recycled only
-  /// when nothing staged references it anymore).
-  std::uint32_t arenaAppend(std::span<const std::uint8_t> frame);
-  /// Stage a frame already in the arena with its channel-id bytes
-  /// rewritten to `channelId` at flush time — the update fan-out's
-  /// zero-copy per-channel path.
-  void stagePatched(std::uint32_t slot, std::uint32_t off, std::uint32_t len,
-                    std::uint32_t channelId);
-  template <typename Channel>
-  void stagePatchedToChannel(Channel& ch, std::uint32_t off,
-                             std::uint32_t len) {
-    if (ch.batchSlot == kNoBatchSlot)
-      ch.batchSlot = acquireBatchSlot(ch.remote);
-    stagePatched(ch.batchSlot, off, len, ch.remoteChannelId);
-  }
-  /// The one staging decision both paths share: flush `b` early if `f`
-  /// would push it past kBatchByteBudget or kBatchMaxFrames, send `f`
-  /// bare if even alone it busts the budget, else append it.
-  void stageFrame(PeerBatch& b, const StagedFrame& f);
-  /// Send one staged frame as its own datagram (a patched frame as three
-  /// spans, so the shared bytes stay untouched).
-  void sendBare(const net::NodeAddr& addr, const StagedFrame& f);
+  /// Send `b`'s container with one transport send (a lone frame without
+  /// its container framing) and empty it.
   void flushSlot(PeerBatch& b);
 
   std::string name_;
@@ -577,19 +546,6 @@ class CommunicationBackbone {
   /// Reusable UPDATE frame for updateAttributeValues: encoded once per
   /// update, channel id patched per channel, capacity kept across calls.
   std::vector<std::uint8_t> updateFrame_;
-  /// Shared staging arena: every staged frame's bytes live here as
-  /// `[u32 len][frame]` chunks; PeerBatch slots hold descriptors only.
-  /// Cleared lazily — only when a new chunk is appended while NOTHING is
-  /// staged (stagedFrameCount_ == 0) — so a budget flush in the middle
-  /// of a fan-out can empty the slots without invalidating the fan-out's
-  /// shared chunk that later channels still reference. Offsets, not
-  /// pointers, so growth reallocation is harmless.
-  std::vector<std::uint8_t> stageArena_;
-  /// Descriptors currently staged across ALL peer slots (arena-recycling
-  /// guard, see stageArena_).
-  std::size_t stagedFrameCount_ = 0;
-  /// Reusable span list for scatter-gather flushes.
-  std::vector<net::ByteSpan> iovScratch_;
   /// Reusable LP id snapshot for tick()'s step phase.
   std::vector<LpId> stepIds_;
   /// Reusable release list for the reliable receive queues: every offer,

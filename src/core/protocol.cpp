@@ -157,8 +157,8 @@ std::optional<std::uint16_t> validateBatchBody(
 std::vector<std::uint8_t> encode(const BatchMsg& m) {
   // The generic encoder frames whatever it is given — an empty container
   // or an empty sub-frame too, so tests can probe decode()'s rejections.
-  // The coalescer builds its containers as iovec spans (cb.cpp) and never
-  // calls this.
+  // The coalescer writes the same framing straight into each peer's
+  // staging container as frames are staged (cb.cpp) and never calls this.
   assert(m.frames.size() <= kBatchMaxFrames);
   net::WireWriter w = header(MsgType::kBatch);
   w.u16(static_cast<std::uint16_t>(m.frames.size()));

@@ -196,6 +196,9 @@ inline constexpr std::size_t kBatchMaxFrames = 0xFFFF;
 /// new frame would push past this flushes early; a frame that busts it on
 /// its own leaves bare.
 inline constexpr std::size_t kBatchByteBudget = 1200;
+/// Every staged frame costs at least its length prefix, so the budget
+/// alone caps a coalesced container's count below what its u16 holds.
+static_assert(kBatchByteBudget / kBatchFramePrefixBytes < kBatchMaxFrames);
 
 /// Validate a kBatch container body (everything after the type byte)
 /// against the framing rules: count > 0, every sub-frame non-empty and

@@ -670,12 +670,6 @@ void CommunicationBackbone::update(PublicationEntry& pub,
     if (sampled && tracing())
       traceEvent(telemetry::TraceEventKind::kUpdatePublished, now_, 0.0, seq);
     bool buffered = false;
-    // The frame enters the staging arena once for the whole fan-out (on
-    // the first channel that actually sends); each channel then stages a
-    // 16-byte descriptor whose flush-time spans swap in that channel's id
-    // — no per-channel patch-and-copy of the frame bytes.
-    std::uint32_t fanOff = 0;
-    bool fanStaged = false;
     for (OutChannel& ch : pub.channels) {
       if (ch.qos == net::QosClass::kReliableOrdered && !buffered) {
         // One buffered copy serves every reliable channel; the channel id
@@ -684,12 +678,8 @@ void CommunicationBackbone::update(PublicationEntry& pub,
         buffered = true;
       }
       if (!ch.qosConfirmed) continue;  // held back until the upgrade lands
-      if (!fanStaged) {
-        fanOff = arenaAppend(updateFrame_);
-        fanStaged = true;
-      }
-      stagePatchedToChannel(ch, fanOff,
-                            static_cast<std::uint32_t>(updateFrame_.size()));
+      patchChannelId(updateFrame_, ch.remoteChannelId);
+      stageToChannel(ch, updateFrame_);
       ch.lastSentSec = now_;
       ++stats_.updatesSent;
       if (ch.qos == net::QosClass::kReliableOrdered) {

@@ -14,18 +14,4 @@ std::uint32_t framesInDatagram(std::span<const std::uint8_t> bytes) {
   return count == 0 ? 1 : count;
 }
 
-void Transport::sendv(const NodeAddr& dst, std::span<const ByteSpan> parts) {
-  // Gather fallback: linearize into a reused scratch and take the plain
-  // path. thread_local so CBs ticked from different threads never share
-  // the scratch.
-  thread_local std::vector<std::uint8_t> scratch;
-  scratch.clear();
-  std::size_t total = 0;
-  for (const ByteSpan p : parts) total += p.size();
-  scratch.reserve(total);
-  for (const ByteSpan p : parts)
-    scratch.insert(scratch.end(), p.begin(), p.end());
-  send(dst, scratch);
-}
-
 }  // namespace cod::net

@@ -64,9 +64,6 @@ struct TransportStats {
 /// bytes are duplicated here and a protocol test pins the two together.
 std::uint32_t framesInDatagram(std::span<const std::uint8_t> bytes);
 
-/// One scatter-gather fragment of an outbound datagram (iovec-shaped).
-using ByteSpan = std::span<const std::uint8_t>;
-
 /// Unreliable datagram transport endpoint (one "socket").
 ///
 /// All operations are non-blocking; `receive` polls the inbound queue.
@@ -80,7 +77,8 @@ class Transport {
   /// Address this endpoint is bound to.
   virtual NodeAddr localAddress() const = 0;
 
-  /// Send a datagram to a specific endpoint.
+  /// Send a datagram to a specific endpoint. The CB's batch flush hands
+  /// each peer's whole kBatch container here as one contiguous buffer.
   virtual void send(const NodeAddr& dst, std::span<const std::uint8_t> bytes) = 0;
 
   /// LAN broadcast to every endpoint bound to `port` (except this one).
@@ -90,14 +88,6 @@ class Transport {
 
   /// Poll one inbound datagram; nullopt when the queue is empty.
   virtual std::optional<Datagram> receive() = 0;
-
-  /// Scatter-gather send: the datagram is the concatenation of `parts`.
-  /// The CB's batch flush uses this so a kBatch container leaves as iovec
-  /// spans over the staging arena instead of being linearized per flush.
-  /// The default implementation gathers into a reused scratch buffer and
-  /// calls send(); transports with a native scatter-gather syscall
-  /// (UdpTransport, via sendmsg) override it.
-  virtual void sendv(const NodeAddr& dst, std::span<const ByteSpan> parts);
 
   /// The OS socket this transport owns, or -1 when it owns none
   /// (simulated/in-memory transports, decorators). Lets a caller tune

@@ -161,45 +161,6 @@ void UdpTransport::send(const NodeAddr& dst,
   }
 }
 
-void UdpTransport::sendv(const NodeAddr& dst,
-                         std::span<const ByteSpan> parts) {
-  constexpr std::size_t kMaxIov = 64;
-  if (parts.size() > kMaxIov) {
-    // A container with hundreds of spans exceeds the stack iovec array;
-    // fall back to the gather-copy path rather than chase IOV_MAX.
-    Transport::sendv(dst, parts);
-    return;
-  }
-  iovec iov[kMaxIov];
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    iov[i].iov_base = const_cast<std::uint8_t*>(parts[i].data());
-    iov[i].iov_len = parts[i].size();
-    total += parts[i].size();
-  }
-  sockaddr_in sa;
-  toSockaddr(dst, &sa);
-  msghdr msg{};
-  msg.msg_name = &sa;
-  msg.msg_namelen = sizeof(sa);
-  msg.msg_iov = iov;
-  msg.msg_iovlen = parts.size();
-  const ssize_t n = ::sendmsg(fd_, &msg, 0);
-  if (n >= 0) {
-    // frames: peek the first 3 bytes across parts (the container header
-    // span is at least that long in practice; runts count as one frame).
-    std::uint8_t head[3];
-    std::size_t got = 0;
-    for (const ByteSpan p : parts) {
-      for (std::size_t i = 0; i < p.size() && got < 3; ++i) head[got++] = p[i];
-      if (got == 3) break;
-    }
-    countSent(total, framesInDatagram({head, got}));
-  } else {
-    ++stats_.packetsDropped;
-  }
-}
-
 void UdpTransport::broadcast(std::uint16_t port,
                              std::span<const std::uint8_t> bytes) {
   // Emulated LAN broadcast: unicast to the same CB port on every host slot.

@@ -51,14 +51,11 @@ class UdpTransport final : public Transport {
   ~UdpTransport() override;
 
   NodeAddr localAddress() const override { return addr_; }
+  /// One sendto(2) per datagram; a CB flush passes a whole container.
   void send(const NodeAddr& dst, std::span<const std::uint8_t> bytes) override;
   void broadcast(std::uint16_t port, std::span<const std::uint8_t> bytes) override;
   std::optional<Datagram> receive() override;
 
-  /// Native scatter-gather: one sendmsg(2) with an iovec per part — the
-  /// batch flush's container header and staged frame spans go to the
-  /// kernel without being linearized first.
-  void sendv(const NodeAddr& dst, std::span<const ByteSpan> parts) override;
   int pollableFd() const override { return fd_; }
 
   const TransportStats* stats() const override { return &stats_; }

@@ -11,6 +11,8 @@
 // attribute count: the transport's receive buffer, one attribute vector
 // and one shared reflection for a remote best-effort update; one
 // attribute vector and one shared reflection on the local fast path.
+// The allocator also records the largest single request, which bounds
+// what a publisher that never ticks can stage.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,10 +28,14 @@
 namespace {
 
 std::uint64_t gAllocs = 0;
+std::size_t gLargest = 0;  // largest single request while counting
 bool gCounting = false;
 
 void* countedAlloc(std::size_t n) {
-  if (gCounting) ++gAllocs;
+  if (gCounting) {
+    ++gAllocs;
+    if (n > gLargest) gLargest = n;
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -94,59 +100,90 @@ AttributeSet craneState() {
 constexpr int kWarmUp = 200;
 constexpr int kMeasured = 1000;
 
-/// Allocations per delivered update over kMeasured publishes of `attrs`.
-double allocsPerUpdate(Path path, const AttributeSet& attrs) {
+net::UdpConfig loopbackPlan() {
   net::UdpConfig cfg;
   cfg.portsPerHost = 4;
   cfg.maxHosts = 4;
   cfg.basePort = net::pickEphemeralBasePort(
       static_cast<std::uint16_t>(cfg.portsPerHost * cfg.maxHosts));
+  return cfg;
+}
+
+CommunicationBackbone::Config fastDiscovery() {
   CommunicationBackbone::Config cbCfg;
   cbCfg.broadcastIntervalSec = 0.01;  // fast discovery for a quick test
-  CommunicationBackbone cbA(
-      "alloc-a", std::make_unique<net::UdpTransport>(cfg, 0, 1), cbCfg);
-  CommunicationBackbone cbB(
-      "alloc-b", std::make_unique<net::UdpTransport>(cfg, 1, 1), cbCfg);
-  const net::QosClass qos = path == Path::kRemoteReliable
-                                ? net::QosClass::kReliableOrdered
-                                : net::QosClass::kBestEffort;
-  CountingLp pub, sub;
-  const auto h = cbA.publishObjectClass(pub, "alloc.data", qos);
-  CommunicationBackbone& subCb = path == Path::kLocal ? cbA : cbB;
-  const auto sh = subCb.subscribeObjectClass(sub, "alloc.data", qos);
+  return cbCfg;
+}
 
-  const auto tickBoth = [&] {
+/// Two CBs on loopback UDP: `pub` publishes "alloc.data" on A, and `sub`
+/// subscribes on B, or on A for the local fast path.
+struct Rig {
+  explicit Rig(Path path)
+      : plan(loopbackPlan()),
+        cbA("alloc-a", std::make_unique<net::UdpTransport>(plan, 0, 1),
+            fastDiscovery()),
+        cbB("alloc-b", std::make_unique<net::UdpTransport>(plan, 1, 1),
+            fastDiscovery()),
+        subCb(path == Path::kLocal ? cbA : cbB) {
+    const net::QosClass qos = path == Path::kRemoteReliable
+                                  ? net::QosClass::kReliableOrdered
+                                  : net::QosClass::kBestEffort;
+    h = cbA.publishObjectClass(pub, "alloc.data", qos);
+    sh = subCb.subscribeObjectClass(sub, "alloc.data", qos);
+  }
+
+  void tickBoth() {
     cbA.tick(wallClock());
     cbB.tick(wallClock());
-  };
-  const double connectDeadline = wallClock() + 5.0;
-  while (!subCb.connected(sh) && wallClock() < connectDeadline) {
-    tickBoth();
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (!subCb.connected(sh)) {
-    ADD_FAILURE() << "channel did not connect over loopback";
-    return 0.0;
-  }
-  // Warm-up: every reusable buffer on the path reaches its steady size.
-  for (int i = 0; i < kWarmUp; ++i) {
-    cbA.updateAttributeValues(h, attrs, wallClock());
-    tickBoth();
-  }
-  for (int i = 0; i < 10; ++i) tickBoth();
 
-  const std::uint64_t before = sub.delivered;
+  /// Connect the channel, then publish until every reusable buffer on
+  /// the path has reached its steady size. False if it never connects.
+  bool warmUp(const AttributeSet& attrs) {
+    const double connectDeadline = wallClock() + 5.0;
+    while (!subCb.connected(sh) && wallClock() < connectDeadline) {
+      tickBoth();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!subCb.connected(sh)) {
+      ADD_FAILURE() << "channel did not connect over loopback";
+      return false;
+    }
+    for (int i = 0; i < kWarmUp; ++i) {
+      cbA.updateAttributeValues(h, attrs, wallClock());
+      tickBoth();
+    }
+    for (int i = 0; i < 10; ++i) tickBoth();
+    return true;
+  }
+
+  net::UdpConfig plan;
+  CommunicationBackbone cbA;
+  CommunicationBackbone cbB;
+  CommunicationBackbone& subCb;
+  CountingLp pub;
+  CountingLp sub;
+  PublicationHandle h = 0;
+  SubscriptionHandle sh = 0;
+};
+
+/// Allocations per delivered update over kMeasured publishes of `attrs`.
+double allocsPerUpdate(Path path, const AttributeSet& attrs) {
+  Rig rig(path);
+  if (!rig.warmUp(attrs)) return 0.0;
+
+  const std::uint64_t before = rig.sub.delivered;
   gAllocs = 0;
   gCounting = true;
   for (int i = 0; i < kMeasured; ++i) {
-    cbA.updateAttributeValues(h, attrs, wallClock());
-    tickBoth();
+    rig.cbA.updateAttributeValues(rig.h, attrs, wallClock());
+    rig.tickBoth();
   }
   const double drainDeadline = wallClock() + 1.0;
-  while (sub.delivered - before < kMeasured && wallClock() < drainDeadline)
-    tickBoth();
+  while (rig.sub.delivered - before < kMeasured && wallClock() < drainDeadline)
+    rig.tickBoth();
   gCounting = false;
-  const std::uint64_t delivered = sub.delivered - before;
+  const std::uint64_t delivered = rig.sub.delivered - before;
   // Loopback may drop under scheduling pressure, never much.
   EXPECT_GE(delivered, static_cast<std::uint64_t>(kMeasured * 9 / 10));
   if (delivered == 0) return 0.0;
@@ -190,6 +227,26 @@ TEST(CbAlloc, RemoteReliableDoesNotGrowWithAttributeCount) {
   const double large = allocsPerUpdate(Path::kRemoteReliable, craneState());
   report("remote reliable", small, large);
   EXPECT_NEAR(small, large, 0.2);
+}
+
+TEST(CbAlloc, UntickedPublisherStagesAtMostOneContainerPerPeer) {
+  // A publisher that never ticks or flushes still sends: each container
+  // leaves when the next frame would push it past the byte budget. What
+  // it holds staged is one container per peer, so no buffer on the path
+  // ever asks for more than a container's worth of bytes.
+  Rig rig(Path::kRemoteBestEffort);
+  const AttributeSet attrs = twoAttributes();
+  ASSERT_TRUE(rig.warmUp(attrs));
+  gAllocs = 0;
+  gLargest = 0;
+  gCounting = true;
+  for (int i = 0; i < 100000; ++i)
+    rig.cbA.updateAttributeValues(rig.h, attrs, wallClock());
+  gCounting = false;
+  std::printf("100000 unticked updates: %llu allocations, largest %zu B\n",
+              static_cast<unsigned long long>(gAllocs), gLargest);
+  EXPECT_LE(gLargest, 2 * kBatchByteBudget);
+  EXPECT_GT(rig.cbA.stats().batch.budgetFlushes, 0u);
 }
 
 TEST(CbAlloc, IdleTicksAllocateNothing) {

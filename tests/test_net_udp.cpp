@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <thread>
 
 namespace cod::net {
@@ -97,32 +96,6 @@ TEST(UdpTransport, StatsCount) {
   EXPECT_EQ(a.stats()->framesSent, 1u);  // a bare frame counts as one
   EXPECT_EQ(b.stats()->packetsReceived, 1u);
   EXPECT_EQ(b.stats()->framesReceived, 1u);
-}
-
-TEST(UdpTransport, SendvGathersToOneDatagram) {
-  // A scatter-gather send must land as ONE datagram whose payload is the
-  // concatenation of the parts — exactly what send() of the linearized
-  // buffer produces. The CB's batch flush sends through this.
-  const UdpConfig cfg = testConfig();
-  UdpTransport a(cfg, 0, 3);
-  UdpTransport b(cfg, 1, 3);
-  const std::vector<std::uint8_t> h{0xAA, 0xBB};
-  std::vector<std::uint8_t> mid(100);
-  for (std::size_t i = 0; i < mid.size(); ++i)
-    mid[i] = static_cast<std::uint8_t>(1 + i);
-  const std::vector<std::uint8_t> tail{0xEE};
-  std::vector<std::uint8_t> linear;
-  linear.insert(linear.end(), h.begin(), h.end());
-  linear.insert(linear.end(), mid.begin(), mid.end());
-  linear.insert(linear.end(), tail.begin(), tail.end());
-
-  const std::array<ByteSpan, 3> parts{ByteSpan{h}, ByteSpan{mid},
-                                      ByteSpan{tail}};
-  a.sendv({1, 3}, parts);
-  const auto d = receiveWithRetry(b);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->payload, linear);
-  EXPECT_FALSE(b.receive().has_value()) << "sendv split into >1 datagram";
 }
 
 TEST(UdpTransport, ForeignDatagramDoesNotEndTheDrain) {
